@@ -84,6 +84,13 @@ def run_fit(
         fac, traces = continuation(X, cfg, oa=oa)
         timings["continuation"] = time.monotonic() - t0
         trace = traces[-1]
+        capped = [lam for lam, tr in zip(cfg.lambda_schedule, traces) if not tr.converged]
+        if capped:
+            print(
+                f"warning: continuation stopped at max_iter={cfg.max_iter} without "
+                f"converging for lambda = {', '.join(f'{lam:.6g}' for lam in capped)}",
+                file=sys.stderr,
+            )
         oa_info = {
             "rounds": oa.rounds,
             "converged": oa.converged,
@@ -198,7 +205,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
     oa_kwargs = {
         "max_rounds": args.oa_rounds,
         "tol_gap": args.oa_tol_gap,
-        "backend": BranchAndBound(node_cap=args.oa_node_cap),
+        # unset: outer_approximation picks its own size-dependent cap
+        "backend": None
+        if args.oa_node_cap is None
+        else BranchAndBound(node_cap=args.oa_node_cap),
         "time_budget": args.time_budget,
     }
     fac, summary, trace, swaps, timings = run_fit(

@@ -1,11 +1,18 @@
 """Convex-hull distance machinery.
 
-``hull_distance`` solves the simplex-constrained least-squares problem
+The squared distance from a row ``x`` to the hull of the rows of ``Y`` is
+the simplex-constrained least-squares problem
 
-    min_alpha  || x - alpha @ X ||_2^2   s.t.  alpha >= 0, sum(alpha) = 1
+    min_alpha  || x - alpha @ Y ||_2^2   s.t.  alpha >= 0, sum(alpha) = 1.
 
-by accelerated projected gradient with a function-value restart, which is
-the workhorse behind the set distances and the robustness metrics.  The
+``hull_distance_rows`` solves it for every row of ``X`` at once: the
+weights of all rows form one ``(rows x hull)`` matrix that a row-batched
+accelerated projected gradient (``_fista.minimize_rows``) drives.  Each row
+keeps its own momentum, function-value restart and stopping test, so it
+takes the iterations a solve of that row alone takes; only rows whose
+distance is at rounding level can differ, because BLAS products differ in
+the last ulp between batch shapes.  ``hull_distance`` is the one-row case.
+These distances back the set distances and the robustness metrics.  The
 archetype distances compare two sets of rows by nearest-row matching and
 are evaluated exactly.
 """
@@ -16,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fista import minimize as _accelerated_minimize
+from ._fista import minimize_rows
 from .core import InvalidInputError, as_matrix, as_vector, spectral_norm
 from .projections import _simplex_rows_raw
 
@@ -39,8 +46,8 @@ def hull_distance(
 ) -> HullDistanceResult:
     """Squared Euclidean distance from ``x`` to the hull of the rows of ``X``.
 
-    ``smax`` may carry a precomputed spectral norm of ``X`` so that row
-    sweeps do not repeat the power iteration.  Stops once the relative
+    ``smax`` may carry a precomputed spectral norm of ``X`` so that repeated
+    calls do not repeat the power iteration.  Stops once the relative
     objective decrease falls below ``tol``.
     """
     xv = as_vector(x, "x")
@@ -51,32 +58,10 @@ def hull_distance(
         raise InvalidInputError(
             f"hull_distance: dimension mismatch x({xv.shape[0]}) vs X{Xm.shape}"
         )
-    m = Xm.shape[0]
     if smax is None:
         smax = spectral_norm(Xm)
-    if smax == 0.0:
-        # hull of zero rows is the origin
-        alpha = np.full(m, 1.0 / m)
-        return HullDistanceResult(float(xv @ xv), alpha, 0)
-
-    def f(al: np.ndarray) -> float:
-        r = al @ Xm - xv
-        return float(r @ r)
-
-    alpha, f_cur, it = _accelerated_minimize(
-        f,
-        lambda al: 2.0 * (Xm @ (al @ Xm - xv)),
-        _simplex,
-        np.full(m, 1.0 / m),
-        step=1.0 / (2.0 * smax * smax),
-        tol=tol,
-        max_iter=max_iter,
-    )
-    return HullDistanceResult(f_cur, alpha, it)
-
-
-def _simplex(v: np.ndarray) -> np.ndarray:
-    return _simplex_rows_raw(v[None, :])[0]
+    sq, weights, its = _hull_rows(xv[None, :], Xm, tol, max_iter, smax)
+    return HullDistanceResult(float(sq[0]), weights[0], int(its[0]))
 
 
 def hull_distance_rows(X, Y, tol: float = 1e-10, max_iter: int = 5_000) -> np.ndarray:
@@ -85,10 +70,40 @@ def hull_distance_rows(X, Y, tol: float = 1e-10, max_iter: int = 5_000) -> np.nd
     Ym = as_matrix(Y, "Y")
     if Xm.shape[1] != Ym.shape[1]:
         raise InvalidInputError("hull_distance_rows: column counts differ")
+    if Xm.shape[0] == 0:
+        return np.zeros(0)
+    if Ym.shape[0] == 0:
+        raise InvalidInputError("hull_distance_rows: Y must have at least one row")
     smax = spectral_norm(Ym) if Ym.size else 0.0
-    return np.array(
-        [hull_distance(row, Ym, tol, max_iter, smax=smax).sq_distance for row in Xm]
+    return _hull_rows(Xm, Ym, tol, max_iter, smax)[0]
+
+
+def _hull_rows(
+    Xm: np.ndarray, Ym: np.ndarray, tol: float, max_iter: int, smax: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Squared distances, weights and iteration counts for every row of
+    ``Xm`` against the hull of the rows of ``Ym``."""
+    r, p = Xm.shape[0], Ym.shape[0]
+    alpha0 = np.full((r, p), 1.0 / p)
+    if smax == 0.0:
+        # every hull row is zero (or there are no columns): the hull is the origin
+        return np.einsum("ij,ij->i", Xm, Xm), alpha0, np.zeros(r, dtype=np.int64)
+
+    def f(al: np.ndarray, x: np.ndarray) -> np.ndarray:
+        res = al @ Ym - x
+        return np.einsum("ij,ij->i", res, res)
+
+    alpha, sq, its = minimize_rows(
+        f,
+        lambda al, x: 2.0 * ((al @ Ym - x) @ Ym.T),
+        _simplex_rows_raw,
+        alpha0,
+        Xm,
+        step=1.0 / (2.0 * smax * smax),
+        tol=tol,
+        max_iter=max_iter,
     )
+    return sq, alpha, its
 
 
 def set_hull_distance(X, Y, tol: float = 1e-10, max_iter: int = 5_000) -> float:

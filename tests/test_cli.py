@@ -176,3 +176,31 @@ def test_eval_exact_recovery_gives_zero_distances(synth_dir, tmp_path):
         row = list(csv.DictReader(fh))[0]
     assert float(row["weak"]) <= 1e-12
     assert float(row["strong"]) <= 1e-12
+
+
+def test_fit_warns_when_continuation_hits_max_iter(synth_dir, tmp_path, capsys):
+    out = tmp_path / "capped"
+    assert run(fit_args(synth_dir, out, **{"--max-iter": 2})) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("warning: continuation stopped at max_iter=2")
+    # every lambda of log:30:1:3 is cut by a 2-sweep budget
+    assert lines[0].endswith("lambda = 30, 5.47723, 1")
+    assert read_json(out / "summary.json")["converged"] is False
+
+
+def test_fit_default_node_cap_defers_to_library(synth_dir, tmp_path, monkeypatch):
+    import sparse_aa.cli as cli
+
+    seen = []
+    real = cli.outer_approximation
+
+    def spy(X, cfg, **kwargs):
+        seen.append(kwargs["backend"])
+        return real(X, cfg, **kwargs)
+
+    monkeypatch.setattr(cli, "outer_approximation", spy)
+    assert run(fit_args(synth_dir, tmp_path / "nocap")) == 0
+    assert run(fit_args(synth_dir, tmp_path / "cap", **{"--oa-node-cap": 7})) == 0
+    assert seen[0] is None
+    assert seen[1].node_cap == 7

@@ -14,7 +14,11 @@ from sparse_aa import (
     set_hull_distance,
     set_hull_distance_l1,
 )
+from sparse_aa._fista import minimize, minimize_rows
+from sparse_aa.core import spectral_norm
 from sparse_aa.evaluation import appendixB_fixture, example1_fixture
+from sparse_aa.geometry import _hull_rows
+from sparse_aa.projections import _simplex_rows_raw
 from oracles import hull_qp_oracle
 
 
@@ -184,3 +188,126 @@ def test_hull_distance_rows_exposes_rowwise_max():
     assert rows.shape == (4,)
     assert set_hull_distance(X, Y) == pytest.approx(rows.sum())
     assert rows.max() >= rows.mean()
+
+
+def _hull(kind: str, rng) -> np.ndarray:
+    n = int(rng.integers(1, 5))
+    if kind == "zero":
+        return np.zeros((int(rng.integers(1, 4)), n))
+    if kind == "single":
+        return rng.normal(scale=2.0, size=(1, n))
+    Y = rng.normal(scale=2.0, size=(int(rng.integers(2, 6)), n))
+    if kind == "duplicates":
+        Y = np.vstack([Y, Y[rng.integers(Y.shape[0], size=2)]])
+    return Y
+
+
+def _mixed_rows(Y: np.ndarray, rng) -> np.ndarray:
+    """Rows outside the hull, strictly inside it, and on a vertex."""
+    p, n = Y.shape
+    inside = rng.dirichlet(np.ones(p), size=2) @ Y
+    return np.vstack([rng.normal(scale=3.0, size=(4, n)), inside, Y[-1:]])
+
+
+@pytest.mark.parametrize("kind", ["random", "duplicates", "single", "zero"])
+@pytest.mark.parametrize("seed", range(8))
+def test_hull_distance_rows_matches_oracle(kind, seed):
+    rng = np.random.default_rng(500 + seed)
+    Y = _hull(kind, rng)
+    X = _mixed_rows(Y, rng)
+    got = hull_distance_rows(X, Y)
+    want = [hull_qp_oracle(x, Y) for x in X]
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-6)
+    assert np.all(got[4:] <= 1e-8)  # the inside and vertex rows
+
+
+def test_hull_distance_rows_zero_hull_is_squared_norm():
+    X = np.array([[3.0, 4.0], [0.0, 0.0]])
+    rows = hull_distance_rows(X, np.zeros((2, 2)))
+    np.testing.assert_array_equal(rows, [25.0, 0.0])
+    res = hull_distance(X[0], np.zeros((2, 2)))
+    assert res.iterations == 0
+    np.testing.assert_array_equal(res.weights, [0.5, 0.5])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_batched_iterations_equal_solo_iterations(seed):
+    rng = np.random.default_rng(700 + seed)
+    Y = rng.uniform(size=(5, 4))
+    X = np.vstack([rng.uniform(size=(6, 4)) * 2.0, _mixed_rows(Y, rng)])
+    smax = spectral_norm(Y)
+    sq, weights, its = _hull_rows(X, Y, 1e-10, 5_000, smax)
+    solo = [hull_distance(x, Y, smax=smax) for x in X]
+    outside = np.array([hull_qp_oracle(x, Y) for x in X]) > 1e-6
+    assert outside.sum() >= 6 and (~outside).sum() >= 3
+    # Outside the hull every stopping decision has a margin far above
+    # rounding, so the batch must stop each row where its solo solve does.
+    # Inside it the objective sits at rounding level, and BLAS products that
+    # differ in the last ulp between batch shapes may shift the count.
+    assert its[outside].tolist() == [r.iterations for r, o in zip(solo, outside) if o]
+    assert len(set(its[outside].tolist())) > 1  # fast and slow rows mixed
+    np.testing.assert_allclose(sq, [r.sq_distance for r in solo], rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_minimize_rows_follows_minimize_per_row(seed):
+    rng = np.random.default_rng(800 + seed)
+    Y = rng.normal(size=(4, 3))
+    X = rng.normal(scale=2.0, size=(7, 3))
+    step = 1.0 / (2.0 * spectral_norm(Y) ** 2)
+
+    def f(al, x):
+        r = al @ Y - x
+        return np.einsum("ij,ij->i", r, r)
+
+    def grad(al, x):
+        return 2.0 * ((al @ Y - x) @ Y.T)
+
+    def solo(i, max_iter):
+        x = X[i]
+        return minimize(
+            lambda al: float(np.sum((al @ Y - x) ** 2)),
+            lambda al: 2.0 * (Y @ (al @ Y - x)),
+            lambda v: _simplex_rows_raw(v[None, :])[0],
+            alpha0[i],
+            step,
+            1e-10,
+            max_iter,
+        )
+
+    alpha0 = np.full((7, 4), 0.25)
+    # small caps stop rows mid-run, on every kind of iteration (plain,
+    # restarted, probed); the large cap lets every row stop by tolerance
+    for max_iter in [*range(1, 25), 5_000]:
+        _, vals, its = minimize_rows(
+            f, grad, _simplex_rows_raw, alpha0, X, step, 1e-10, max_iter
+        )
+        for i in range(X.shape[0]):
+            _, val, it = solo(i, max_iter)
+            assert its[i] == it
+            assert vals[i] == pytest.approx(val, rel=1e-12, abs=1e-15)
+
+
+def test_max_iter_one_stops_every_row_after_one_iteration():
+    rng = np.random.default_rng(11)
+    Y = rng.normal(size=(4, 3))
+    X = _mixed_rows(Y, rng)
+    sq, weights, its = _hull_rows(X, Y, 1e-10, 1, spectral_norm(Y))
+    assert its.tolist() == [1] * X.shape[0]
+    np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-12)
+    exact = hull_distance_rows(X, Y)
+    assert np.all(sq >= exact - 1e-12)
+    assert all(hull_distance(x, Y, max_iter=1).iterations == 1 for x in X)
+
+
+def test_hull_distance_rows_edge_shapes():
+    Y = np.eye(3)
+    empty = hull_distance_rows(np.zeros((0, 3)), Y)
+    assert empty.shape == (0,)
+    assert set_hull_distance(np.zeros((0, 3)), Y) == 0.0
+    with pytest.raises(InvalidInputError):
+        hull_distance_rows(np.ones((2, 3)), np.zeros((0, 3)))
+    with pytest.raises(InvalidInputError):
+        hull_distance_rows(np.ones((2, 2)), Y)
+    with pytest.raises(InvalidInputError):
+        hull_distance(np.ones(3), np.zeros((0, 3)))
