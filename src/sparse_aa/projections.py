@@ -63,22 +63,39 @@ def project_sparse(a, ell: int) -> tuple[np.ndarray, SparsityPattern]:
     if ell < 0:
         raise InvalidInputError("project_sparse: ell must be nonnegative")
     n = A.shape[1]
-    out, keep = _topk_raw(A, ell)
-    kept = tuple(sorted((int(i) // n, int(i) % n) for i in keep))
+    out, mask = _topk_raw(A, ell)
+    kept = tuple((int(i) // n, int(i) % n) for i in np.flatnonzero(mask))
     return out, SparsityPattern(kept=kept, budget=int(ell))
 
 
+def _topk_threshold(flat: np.ndarray, ell: int) -> float | None:
+    """The ``ell``-th largest entry of ``flat`` (``ell >= 1``), or None when
+    ``ell`` covers every entry.  O(size): a selection, not a sort."""
+    if ell >= flat.size:
+        return None
+    return float(np.partition(flat, flat.size - ell)[flat.size - ell])
+
+
 def _topk_raw(A: np.ndarray, ell: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top-``ell`` magnitudes of ``A`` and the flat row-major mask of kept entries.
+
+    Every entry above the ``ell``-th largest magnitude is kept, and the rest
+    of the budget goes to the lowest-index entries equal to it.  Zeros are
+    never kept.
+    """
     flat = np.abs(A).ravel()
-    out = np.zeros_like(A)
-    if ell > 0 and flat.size:
-        # stable sort keeps equal magnitudes in ascending index order
-        order = np.argsort(-flat, kind="stable")[: min(ell, flat.size)]
-        keep = order[flat[order] > 0.0]
-        out.ravel()[keep] = A.ravel()[keep]
+    if ell <= 0:
+        return np.zeros_like(A), np.zeros(flat.size, dtype=bool)
+    thr = _topk_threshold(flat, ell)
+    if thr is None or thr == 0.0:
+        mask = flat > 0.0
     else:
-        keep = np.empty(0, dtype=np.intp)
-    return out, keep
+        mask = flat >= thr
+        extra = np.count_nonzero(mask) - ell
+        if extra:
+            # ties at the threshold: the highest indices give way
+            mask[np.flatnonzero(flat == thr)[-extra:]] = False
+    return np.where(mask.reshape(A.shape), A, 0.0), mask
 
 
 def clamp_nonneg(a) -> np.ndarray:

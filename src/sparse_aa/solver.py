@@ -8,6 +8,13 @@ H, then W, then Wt, each by a half-step of its block gradient (step
 displayed update rules fold the leading minus sign of each gradient into
 the step, so every block is a descent step; the objective never increases
 across a sweep.
+
+A sweep costs O(k*n) beyond its matrix products: the top-ell step selects
+the ell-th largest magnitude with ``np.partition`` instead of sorting all
+k*n entries.  ``solve`` also hands the residual ``X - W H`` and the product
+``Wt X`` of each objective evaluation to the next sweep, whose H-step and
+Wt-step would otherwise compute them again from the same arrays.  Both
+leave every iterate, objective value and step size unchanged bit for bit.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from .core import (
     as_matrix,
     spectral_norm,
 )
-from .projections import _simplex_rows_raw, _topk_raw, clamp_nonneg
+from .projections import _simplex_rows_raw, _topk_raw, _topk_threshold
 
 _OBJ_FLOOR = 1e-30
 
@@ -64,12 +71,14 @@ class StationarityReport:
     boundary_tie: bool
 
 
-def _objective_raw(X, H, W, Wt, lam: float) -> tuple[float, float, float]:
+def _objective_raw(X, H, W, Wt, lam: float):
+    """``(fit, reg, total, X - W H, Wt X)``; the last two feed the next sweep."""
     r1 = X - W @ H
-    r2 = H - Wt @ X
+    wtx = Wt @ X
+    r2 = H - wtx
     fit = float(np.sum(r1 * r1))
     reg = float(np.sum(r2 * r2))
-    return fit, reg, fit + lam * reg
+    return fit, reg, fit + lam * reg, r1, wtx
 
 
 def objective(X, fac: Factorization, lam: float) -> ObjectiveBreakdown:
@@ -77,7 +86,7 @@ def objective(X, fac: Factorization, lam: float) -> ObjectiveBreakdown:
     Xm = as_matrix(X, "X")
     if fac.W.shape[0] != Xm.shape[0] or fac.H.shape[1] != Xm.shape[1]:
         raise InvalidInputError("objective: shapes of X and factorization differ")
-    fit, reg, total = _objective_raw(Xm, fac.H, fac.W, fac.Wt, lam)
+    fit, reg, total, _, _ = _objective_raw(Xm, fac.H, fac.W, fac.Wt, lam)
     return ObjectiveBreakdown(fit=fit, reg=reg, total=total)
 
 
@@ -114,9 +123,20 @@ def grad_Wt(X, fac: Factorization, lam: float) -> np.ndarray:
     return -2.0 * lam * (fac.H - fac.Wt @ X) @ X.T
 
 
-def _step_h_raw(X, H, W, Wt, lam, ell, l1):
-    pi = H - (-(W.T @ (X - W @ H)) + lam * (H - Wt @ X)) / l1
-    out, _ = _topk_raw(np.maximum(pi, 0.0), ell)
+def _h_target_raw(X, H, W, Wt, lam, l1, r1=None, wtx=None):
+    """Clamped gradient step on H, the input of the top-ell selection.
+
+    ``r1 = X - W H`` and ``wtx = Wt X`` are computed when not given.
+    """
+    if r1 is None:
+        r1 = X - W @ H
+    if wtx is None:
+        wtx = Wt @ X
+    return np.maximum(H - (-(W.T @ r1) + lam * (H - wtx)) / l1, 0.0)
+
+
+def _step_h_raw(X, H, W, Wt, lam, ell, l1, r1=None, wtx=None):
+    out, _ = _topk_raw(_h_target_raw(X, H, W, Wt, lam, l1, r1, wtx), ell)
     return out
 
 
@@ -124,10 +144,12 @@ def _step_w_raw(X, H, W, l2):
     return _simplex_rows_raw(W + ((X - W @ H) @ H.T) / l2)
 
 
-def _step_wt_raw(X, H, Wt, lam, l3):
+def _step_wt_raw(X, H, Wt, lam, l3, wtx=None):
     if lam == 0.0:
         return Wt.copy()
-    return _simplex_rows_raw(Wt + (lam / l3) * ((H - Wt @ X) @ X.T))
+    if wtx is None:
+        wtx = Wt @ X
+    return _simplex_rows_raw(Wt + (lam / l3) * ((H - wtx) @ X.T))
 
 
 def step_H(X, fac: Factorization, lam: float, ell: int, l1: float | None = None) -> np.ndarray:
@@ -175,15 +197,19 @@ def default_init(X, cfg: SaaConfig) -> Factorization:
     return Factorization(H=H, W=W, Wt=Wt)
 
 
-def _sweep_raw(X, H, W, Wt, lam, ell, eps, smax_x):
+def _sweep_raw(X, H, W, Wt, lam, ell, eps, smax_x, r1=None, wtx=None):
+    """One H, W, Wt sweep; ``r1 = X - W H`` and ``wtx = Wt X`` of the input
+    iterate are computed when not given."""
+    if wtx is None:
+        wtx = Wt @ X
     sw = _spectral_norm_raw(W)
     l1 = 2.0 * (lam + sw * sw)
-    H1 = _step_h_raw(X, H, W, Wt, lam, ell, l1)
+    H1 = _step_h_raw(X, H, W, Wt, lam, ell, l1, r1, wtx)
     sh = _spectral_norm_raw(H1)
     l2 = 2.0 * max(sh * sh, eps)
     W1 = _step_w_raw(X, H1, W, l2)
     l3 = 2.0 * lam * smax_x * smax_x
-    Wt1 = _step_wt_raw(X, H1, Wt, lam, l3)
+    Wt1 = _step_wt_raw(X, H1, Wt, lam, l3, wtx)
     return H1, W1, Wt1, (l1, l2, l3)
 
 
@@ -215,16 +241,16 @@ def solve(
     smax_x = _spectral_norm_raw(Xm)
     H, W, Wt = fac.H, fac.W, fac.Wt
     trace = SolveTrace()
-    fit, reg, total = _objective_raw(Xm, H, W, Wt, lam)
+    fit, reg, total, r1, wtx = _objective_raw(Xm, H, W, Wt, lam)
     trace.objectives.append(total)
     trace.fits.append(fit)
     trace.regs.append(reg)
 
     for _ in range(cfg.max_iter):
         H1, W1, Wt1, (l1, l2, l3) = _sweep_raw(
-            Xm, H, W, Wt, lam, cfg.ell, cfg.eps_safeguard, smax_x
+            Xm, H, W, Wt, lam, cfg.ell, cfg.eps_safeguard, smax_x, r1, wtx
         )
-        fit, reg, new_total = _objective_raw(Xm, H1, W1, Wt1, lam)
+        fit, reg, new_total, r1, wtx = _objective_raw(Xm, H1, W1, Wt1, lam)
         change = max(
             float(np.linalg.norm(H1 - H)),
             float(np.linalg.norm(W1 - W)),
@@ -278,12 +304,8 @@ def stationarity_residual(
         float(np.linalg.norm(W1 - fac.W)),
         float(np.linalg.norm(Wt1 - fac.Wt)),
     )
-    pi = fac.H - (1.0 / l1) * (
-        -fac.W.T @ (Xm - fac.W @ fac.H) + lam * (fac.H - fac.Wt @ Xm)
-    )
-    t_mat = clamp_nonneg(pi)
-    tie = False
-    if np.count_nonzero(t_mat) > cfg.ell:
-        flat = np.sort(t_mat.ravel())[::-1]
-        tie = bool(flat[cfg.ell - 1] == flat[cfg.ell])
-    return StationarityReport(residual=residual, boundary_tie=tie)
+    # a tie: more than ell entries reach the (positive) selection threshold
+    target = _h_target_raw(Xm, fac.H, fac.W, fac.Wt, lam, l1)
+    thr = _topk_threshold(target.ravel(), cfg.ell)
+    tie = thr is not None and thr > 0.0 and np.count_nonzero(target >= thr) > cfg.ell
+    return StationarityReport(residual=residual, boundary_tie=bool(tie))

@@ -4,7 +4,9 @@ Each oracle takes a brute-force or closed-form route that shares no code
 with the library path it checks: active-set enumeration for the simplex
 projection, support enumeration for hull distances, exhaustive pattern
 enumeration for the cut MILP, central finite differences for gradients,
-and golden-section search for the one-dimensional refit.
+and golden-section search for the one-dimensional refit.  The top-ell and
+sweep-loop oracles keep the solver's earlier formulas (a full stable
+argsort, every residual recomputed) as references for bit-identity tests.
 """
 
 import itertools
@@ -178,3 +180,73 @@ def objective_loops_oracle(X, H, W, Wt, lam: float) -> float:
                 pred += Wt[r, i] * X[i, j]
             reg += (H[r, j] - pred) ** 2
     return fit + lam * reg
+
+
+def topk_argsort_oracle(A: np.ndarray, ell: int):
+    """Top-ell magnitudes of A by a full stable argsort of -|A|.
+
+    Equal magnitudes stay in ascending index order, so ties go to the
+    earlier row-major index; zero magnitudes are never kept.  Returns the
+    thresholded matrix and the kept flat indices in selection order.
+    """
+    flat = np.abs(A).ravel()
+    out = np.zeros_like(A)
+    keep = np.empty(0, dtype=np.intp)
+    if ell > 0 and flat.size:
+        order = np.argsort(-flat, kind="stable")[: min(ell, flat.size)]
+        keep = order[flat[order] > 0.0]
+        out.ravel()[keep] = A.ravel()[keep]
+    return out, keep
+
+
+def sweep_loop_oracle(X, cfg, lam: float):
+    """The block proximal-gradient solve written out with no shared work.
+
+    Starts from the uniform weights and the thresholded ``Wt X``, and every
+    block step recomputes its residuals from scratch.  It reuses only the
+    library's power-iteration spectral norm and simplex projection, which
+    the sweep calls unchanged.  Stops by the solver's rule and returns
+    ``(H, W, Wt, objectives, step_sizes, ties)``, where ``ties`` counts the
+    H-steps whose selection had to break a tie at the ell boundary.
+    """
+    from sparse_aa.core import _spectral_norm_raw
+    from sparse_aa.projections import _simplex_rows_raw
+
+    def psi(H, W, Wt):
+        r1 = X - W @ H
+        r2 = H - Wt @ X
+        return float(np.sum(r1 * r1)) + lam * float(np.sum(r2 * r2))
+
+    m, k = X.shape[0], cfg.k
+    W = np.full((m, k), 1.0 / k)
+    Wt = np.full((k, m), 1.0 / m)
+    H, _ = topk_argsort_oracle(np.maximum(Wt @ X, 0.0), cfg.ell)
+    sx = _spectral_norm_raw(X)
+    total = psi(H, W, Wt)
+    objectives, steps, ties = [total], [], 0
+    for _ in range(cfg.max_iter):
+        sw = _spectral_norm_raw(W)
+        l1 = 2.0 * (lam + sw * sw)
+        pi = H - (-(W.T @ (X - W @ H)) + lam * (H - Wt @ X)) / l1
+        target = np.maximum(pi, 0.0)
+        s = np.sort(target.ravel())[::-1]
+        ties += bool(s.size > cfg.ell and s[cfg.ell] > 0.0 and s[cfg.ell - 1] == s[cfg.ell])
+        H1, _ = topk_argsort_oracle(target, cfg.ell)
+        sh = _spectral_norm_raw(H1)
+        l2 = 2.0 * max(sh * sh, cfg.eps_safeguard)
+        W1 = _simplex_rows_raw(W + ((X - W @ H1) @ H1.T) / l2)
+        l3 = 2.0 * lam * sx * sx
+        Wt1 = _simplex_rows_raw(Wt + (lam / l3) * ((H1 - Wt @ X) @ X.T))
+        new_total = psi(H1, W1, Wt1)
+        change = max(
+            float(np.linalg.norm(H1 - H)),
+            float(np.linalg.norm(W1 - W)),
+            float(np.linalg.norm(Wt1 - Wt)),
+        )
+        objectives.append(new_total)
+        steps.append((0.5 / l1, 0.5 / l2, 0.5 / l3 if l3 > 0 else np.inf))
+        done = (total - new_total) <= cfg.tol_objective * max(total, 1e-30)
+        H, W, Wt, total = H1, W1, Wt1, new_total
+        if done and change <= cfg.tol_stationary:
+            break
+    return H, W, Wt, objectives, steps, ties

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparse_aa import (
@@ -10,7 +10,8 @@ from sparse_aa import (
     project_simplex_rows,
     project_sparse,
 )
-from oracles import simplex_qp_oracle
+from sparse_aa.projections import _topk_raw
+from oracles import simplex_qp_oracle, topk_argsort_oracle
 
 finite_floats = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
@@ -105,6 +106,44 @@ def test_project_sparse_keeps_largest_magnitudes():
         abs(v) for idx, v in np.ndenumerate(A) if idx not in set(pat.kept)
     )
     assert min(kept_vals) >= max(dropped) - 1e-15
+
+
+tie_values = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+
+
+@st.composite
+def topk_cases(draw):
+    """A small matrix whose entries repeat a few magnitudes (or are all
+    equal, or arbitrary), with a budget from 0 to past its size."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["ties", "equal", "floats"]))
+    if kind == "equal":
+        A = np.full((rows, cols), draw(tie_values))
+    else:
+        elems = tie_values if kind == "ties" else finite_floats
+        size = rows * cols
+        A = np.array(draw(st.lists(elems, min_size=size, max_size=size)))
+    return A.reshape(rows, cols), draw(st.integers(0, rows * cols + 3))
+
+
+@given(topk_cases())
+# ties straddle the boundary: three entries of magnitude 2 compete for two slots
+@example((np.array([[1.0, -2.0, 2.0], [0.0, 2.0, -1.0]]), 2))
+@example((np.full((2, 3), -0.5), 4))  # all equal
+@example((np.array([[0.0, 3.0], [-1.0, 0.0]]), 3))  # zeros left over
+@example((np.array([[1.0, 2.0], [3.0, 4.0]]), 0))
+@example((np.array([[1.0, 2.0], [3.0, 4.0]]), 4))  # ell = size
+@example((np.array([[1.0, 0.0], [3.0, 4.0]]), 7))  # ell > size
+@settings(max_examples=300, deadline=None)
+def test_topk_matches_stable_argsort_rule(case):
+    A, ell = case
+    want, keep = topk_argsort_oracle(A, ell)
+    out, mask = _topk_raw(A, ell)
+    assert out.tobytes() == want.tobytes()
+    assert set(np.flatnonzero(mask).tolist()) == set(keep.tolist())
+    P, pat = project_sparse(A, ell)
+    assert P.tobytes() == want.tobytes()
+    assert pat.kept == tuple(sorted(divmod(int(i), A.shape[1]) for i in keep))
 
 
 def test_clamp_nonneg():

@@ -16,8 +16,9 @@ from sparse_aa import (
     step_Wt,
     synth_instance,
 )
+from sparse_aa.mip_init import continuation
 from sparse_aa.solver import default_init, grad_H, grad_W, grad_Wt
-from oracles import central_diff_grad, objective_loops_oracle
+from oracles import central_diff_grad, objective_loops_oracle, sweep_loop_oracle
 
 
 def random_feasible(rng, m=5, k=3, n=4, ell=8):
@@ -255,3 +256,91 @@ def test_trace_step_sizes_reflect_half_inverse_lipschitz():
     sx = spectral_norm(X)
     assert s3 == pytest.approx(0.5 / (2.0 * 2.0 * sx * sx), rel=1e-9)
     assert s1 > 0 and s2 > 0
+
+
+@pytest.mark.parametrize("ell, tie", [(3, True), (4, False), (8, False)])
+def test_stationarity_residual_flags_boundary_ties(ell, tie):
+    # from H = 0 with uniform weights both rows of the H-step target are
+    # equal, so an odd budget splits a pair of equal entries; ell = k*n
+    # drops nothing and has no boundary
+    X = np.random.default_rng(7).uniform(0.1, 1.0, size=(6, 4))
+    fac = Factorization(H=np.zeros((2, 4)), W=np.full((6, 2), 0.5), Wt=np.full((2, 6), 1 / 6))
+    rep = stationarity_residual(X, fac, SaaConfig(k=2, ell=ell, lam=1.0))
+    assert rep.boundary_tie is tie  # a plain bool, as summary.json needs
+
+
+def tie_instance():
+    """Duplicated columns: H-step targets repeat values, so top-ell ties occur."""
+    B = np.random.default_rng(1).uniform(size=(10, 3))
+    return np.hstack([B, B]), SaaConfig(k=3, ell=7)
+
+
+def random_instance():
+    return np.random.default_rng(0).uniform(size=(15, 8)), SaaConfig(k=3, ell=13)
+
+
+@pytest.mark.parametrize("make", [random_instance, tie_instance])
+def test_solve_matches_sweep_loop_oracle_bit_for_bit(make):
+    X, base = make()
+    cfg = SaaConfig(k=base.k, ell=base.ell, max_iter=300, tol_objective=1e-300, tol_stationary=1e-300)
+    fac, trace = solve(X, None, cfg, lam=1.0)
+    H, W, Wt, objectives, steps, ties = sweep_loop_oracle(X, cfg, 1.0)
+    assert trace.iterations == 300
+    assert trace.objectives == objectives
+    assert trace.step_sizes == steps
+    assert fac.H.tobytes() == H.tobytes()
+    assert fac.W.tobytes() == W.tobytes()
+    assert fac.Wt.tobytes() == Wt.tobytes()
+    if make is tie_instance:
+        assert ties > 0
+
+
+def edge_instances():
+    rng = np.random.default_rng(3)
+    B = rng.uniform(size=(6, 4))
+    return {
+        "ell=k*n": (B, 2, 8),
+        "ell>k*n": (B, 2, 20),
+        "m<k": (rng.uniform(size=(2, 4)), 3, 6),
+        "duplicate rows": (np.vstack([B, B[:2]]), 2, 5),
+        "zero rows": (np.vstack([B, np.zeros((2, 4))]), 2, 5),
+        "zero column": (np.hstack([B, np.zeros((6, 1))]), 2, 6),
+    }
+
+
+def assert_same_solve(a, b):
+    (fa, ta), (fb, tb) = a, b
+    for M, N in ((fa.H, fb.H), (fa.W, fb.W), (fa.Wt, fb.Wt)):
+        assert M.tobytes() == N.tobytes()
+    assert ta.objectives == tb.objectives
+
+
+@pytest.mark.parametrize("name", list(edge_instances()))
+def test_solve_edge_cases_feasible_and_deterministic(name):
+    X, k, ell = edge_instances()[name]
+    cfg = SaaConfig(k=k, ell=ell, lam=1.0, max_iter=200)
+    first = solve(X, None, cfg)
+    assert_same_solve(first, solve(X, None, cfg))
+    fac, trace = first
+    fac.validate(ell)
+    assert fac.H.shape == (k, X.shape[1]) and fac.W.shape == (X.shape[0], k)
+    obj = np.array(trace.objectives)
+    assert np.all(np.diff(obj) <= 1e-9 * np.maximum(obj[:-1], 1.0))
+    if name == "zero column":
+        assert not fac.H[:, -1].any()
+
+
+@pytest.mark.parametrize("name", list(edge_instances()))
+def test_continuation_edge_cases(name):
+    X, k, ell = edge_instances()[name]
+    cfg = SaaConfig(k=k, ell=ell, lam=(4.0, 2.0, 1.0), max_iter=200)
+    if ell > k * X.shape[1]:
+        # the initializer's pattern enumeration rejects a budget past k*n
+        with pytest.raises(InvalidInputError):
+            continuation(X, cfg, oa_kwargs={"max_rounds": 2})
+        return
+    fac, traces = continuation(X, cfg, oa_kwargs={"max_rounds": 2})
+    fac2, traces2 = continuation(X, cfg, oa_kwargs={"max_rounds": 2})
+    assert len(traces) == 3
+    assert_same_solve((fac, traces[-1]), (fac2, traces2[-1]))
+    fac.validate(ell)
