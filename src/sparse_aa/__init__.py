@@ -4,6 +4,9 @@ Distance primitives over convex hulls, a block proximal-gradient solver
 for sparse nonnegative factorization with archetypal regularization, a
 cut-based mixed-integer initializer, support-swap local search, and an
 evaluation suite for the associated robustness bounds.
+
+Result types such as ``SolveTrace``, ``OaResult`` or ``CutSet`` are
+importable from their modules.
 """
 
 from .core import (
@@ -15,11 +18,8 @@ from .core import (
     read_matrix_csv,
     spectral_norm,
     support,
-    write_matrix_csv,
 )
 from .evaluation import (
-    ClusterMetrics,
-    RobustnessReport,
     appendixB_fixture,
     cluster_assign,
     cluster_metrics,
@@ -30,7 +30,6 @@ from .evaluation import (
     robustness_constants,
 )
 from .geometry import (
-    HullDistanceResult,
     archetype_distance,
     archetype_distance_l1,
     archetype_spread,
@@ -41,7 +40,6 @@ from .geometry import (
     set_hull_distance_l1,
 )
 from .local_search import (
-    SwapProposal,
     local_search,
     optimal_t,
     select_entering,
@@ -51,10 +49,7 @@ from .local_search import (
 from .mip_init import (
     BranchAndBound,
     Cut,
-    CutSet,
     MilpBackend,
-    MilpSolution,
-    OaResult,
     continuation,
     eval_F,
     milp_min_cuts,
@@ -62,62 +57,30 @@ from .mip_init import (
     outer_approximation,
     subgradient_F,
 )
-from .projections import (
-    SparsityPattern,
-    clamp_nonneg,
-    project_simplex_rows,
-    project_simplex_vector,
-    project_sparse,
-)
-from .solver import (
-    ObjectiveBreakdown,
-    SolveTrace,
-    StationarityReport,
-    default_init,
-    lipschitz_constants,
-    objective,
-    solve,
-    stationarity_residual,
-    step_H,
-    step_W,
-    step_Wt,
-)
+from .projections import project_simplex_rows, project_sparse
+from .solver import objective, solve, stationarity_residual
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BranchAndBound",
-    "ClusterMetrics",
     "Cut",
-    "CutSet",
     "Factorization",
-    "HullDistanceResult",
     "InvalidInputError",
     "MilpBackend",
-    "MilpSolution",
     "NumericalError",
-    "OaResult",
-    "ObjectiveBreakdown",
-    "RobustnessReport",
     "SaaConfig",
-    "SolveTrace",
-    "SparsityPattern",
-    "StationarityReport",
-    "SwapProposal",
     "appendixB_fixture",
     "archetype_distance",
     "archetype_distance_l1",
     "archetype_spread",
-    "clamp_nonneg",
     "cluster_assign",
     "cluster_metrics",
     "continuation",
-    "default_init",
     "eval_F",
     "example1_fixture",
     "hull_distance",
     "hull_distance_rows",
-    "lipschitz_constants",
     "local_search",
     "milp_min_cuts",
     "nearest_row_assignment",
@@ -127,7 +90,6 @@ __all__ = [
     "optimal_t",
     "outer_approximation",
     "project_simplex_rows",
-    "project_simplex_vector",
     "project_sparse",
     "penalized_constants",
     "read_matrix_csv",
@@ -139,13 +101,9 @@ __all__ = [
     "solve",
     "spectral_norm",
     "stationarity_residual",
-    "step_H",
-    "step_W",
-    "step_Wt",
     "subgradient_F",
     "support",
     "swap_refit",
     "synth_instance",
     "robustness_constants",
-    "write_matrix_csv",
 ]

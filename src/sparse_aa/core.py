@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -180,14 +180,6 @@ class SaaConfig:
             "seed": self.seed,
         }
         return d
-
-    @classmethod
-    def from_json(cls, d: dict) -> "SaaConfig":
-        d = dict(d)
-        lam = d.pop("lambda", d.pop("lam", 1.0))
-        if isinstance(lam, (list, tuple)) and len(lam) == 1:
-            lam = lam[0]
-        return cls(lam=lam, **d)
 
 
 @dataclass

@@ -128,7 +128,7 @@ def robustness_report(
     weak = archetype_distance(H0m, Hm)
     strong = archetype_distance(Hm, H0m)
     delta = float(np.linalg.norm(Zm, axis=1).max()) if m else 0.0
-    kept, _ = project_sparse(H0m, ell)
+    kept = project_sparse(H0m, ell)
     pperp = H0m - kept
     pperp_norm = float(np.linalg.norm(pperp))
     beta = math.sqrt(m) * pperp_norm
@@ -230,14 +230,6 @@ class ClusterMetrics:
     purity: float
     entropy: float
     confusion: np.ndarray
-
-    def to_json(self) -> dict:
-        return {
-            "schema": "sparse-aa-cluster-v1",
-            "purity": self.purity,
-            "entropy": self.entropy,
-            "confusion": self.confusion.tolist(),
-        }
 
 
 def cluster_metrics(true_labels, est_labels, k: int) -> ClusterMetrics:

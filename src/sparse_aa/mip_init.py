@@ -30,8 +30,8 @@ from .core import (
     as_matrix,
     spectral_norm,
 )
-from .projections import clamp_nonneg, project_simplex_rows, project_sparse
-from .solver import SolveTrace, solve, step_W
+from .projections import project_simplex_rows
+from .solver import SolveTrace, default_init, solve, step_W
 
 _F_ABS_STOP = 1e-22
 
@@ -73,41 +73,6 @@ class CutSet:
     def add(self, cut: Cut) -> None:
         self.cuts.append(cut)
         self.best_upper = min(self.best_upper, cut.value)
-
-    def to_json(self) -> dict:
-        return {
-            "schema": "sparse-aa-cutset-v1",
-            "k": self.k,
-            "n": self.n,
-            "ell": self.ell,
-            "best_upper": self.best_upper,
-            "best_lower": self.best_lower,
-            "gap_history": list(self.gap_history),
-            "cuts": [
-                {
-                    "pattern": c.pattern.astype(int).tolist(),
-                    "value": c.value,
-                    "grad": c.grad.tolist(),
-                }
-                for c in self.cuts
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, d: dict) -> "CutSet":
-        cs = cls(k=d["k"], n=d["n"], ell=d["ell"])
-        cs.best_upper = d["best_upper"]
-        cs.best_lower = d["best_lower"]
-        cs.gap_history = list(d.get("gap_history", []))
-        for c in d["cuts"]:
-            cs.cuts.append(
-                Cut(
-                    pattern=np.asarray(c["pattern"], dtype=np.float64),
-                    value=float(c["value"]),
-                    grad=np.asarray(c["grad"], dtype=np.float64),
-                )
-            )
-        return cs
 
 
 def norm_bound_b(X, k: int) -> float:
@@ -317,7 +282,9 @@ class BranchAndBound(MilpBackend):
             nodes += 1
             if bound > best_val:
                 continue
-            if bound == best_val and not _lex_smaller_prefix(f1, best_ones):
+            # on a tie, a subtree survives only if its forced ones can still
+            # lead to a pattern lexicographically smaller than the incumbent
+            if bound == best_val and not _lex_smaller(f1, best_ones):
                 continue
             if free_idx.size == 0 or room == 0:
                 consider(f1)
@@ -340,7 +307,7 @@ class BranchAndBound(MilpBackend):
             children.sort(key=lambda c: (-c[0], -c[5]))
             for bc, f1c, freec, basec, roomc, _ in children:
                 if bc < best_val or (
-                    bc == best_val and _lex_smaller_prefix(f1c, best_ones)
+                    bc == best_val and _lex_smaller(f1c, best_ones)
                 ):
                     stack.append((bc, f1c, freec, basec, roomc))
 
@@ -360,12 +327,6 @@ def _lex_smaller(a: np.ndarray, b: np.ndarray) -> bool:
         return False
     first = int(np.argmax(diff))
     return not a[first]
-
-
-def _lex_smaller_prefix(fixed1: np.ndarray, incumbent: np.ndarray) -> bool:
-    """Whether a subtree with these forced ones can still contain a pattern
-    lexicographically smaller than the incumbent."""
-    return _lex_smaller(fixed1, incumbent)
 
 
 def milp_min_cuts(
@@ -423,7 +384,6 @@ def outer_approximation(
     Xm = as_matrix(X, "X")
     k, ell = cfg.k, cfg.ell
     n = Xm.shape[1]
-    m = Xm.shape[0]
     if ell > k * n:
         raise InvalidInputError("outer_approximation: ell exceeds k*n")
     if backend is None:
@@ -432,9 +392,7 @@ def outer_approximation(
         backend = BranchAndBound(node_cap=None if k * n <= 64 else 20_000)
     b = norm_bound_b(Xm, k)
 
-    Wt0 = np.full((k, m), 1.0 / m)
-    H0, _ = project_sparse(clamp_nonneg(Wt0 @ Xm), ell)
-    Z = (H0 > 0.0).astype(np.float64)
+    Z = (default_init(Xm, cfg).H > 0.0).astype(np.float64)
 
     cutset = CutSet(k=k, n=n, ell=ell)
     best = None  # (value, Z, H, Wt)
@@ -511,7 +469,7 @@ def continuation(
     m = Xm.shape[0]
     W = np.full((m, cfg.k), 1.0 / cfg.k)
     fac = Factorization(H=oa.H.copy(), W=W, Wt=oa.Wt.copy())
-    fac.W = step_W(Xm, fac, eps=cfg.eps_safeguard)
+    fac.W, _ = step_W(Xm, fac.H, fac.W, cfg.eps_safeguard)
     traces: list[SolveTrace] = []
     for lam in sched:
         fac, trace = solve(Xm, fac, cfg, lam=lam)

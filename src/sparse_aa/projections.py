@@ -1,24 +1,14 @@
-"""The three projections the solvers compose.
+"""The projections the solvers compose.
 
-Row-wise Euclidean projection onto the unit simplex, global top-ell hard
-thresholding, and nonnegative clamping.
+Row-wise Euclidean projection onto the unit simplex and global top-ell hard
+thresholding.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import InvalidInputError, as_matrix
-
-
-@dataclass(frozen=True)
-class SparsityPattern:
-    """Coordinates retained by hard thresholding, plus the budget used."""
-
-    kept: tuple[tuple[int, int], ...]
-    budget: int
 
 
 def project_simplex_rows(a) -> np.ndarray:
@@ -45,27 +35,19 @@ def _simplex_rows_raw(A: np.ndarray) -> np.ndarray:
     return np.maximum(A - theta[:, None], 0.0)
 
 
-def project_simplex_vector(v) -> np.ndarray:
-    """Project a single vector onto the unit simplex."""
-    arr = np.asarray(v, dtype=np.float64)
-    return project_simplex_rows(arr[None, :])[0]
-
-
-def project_sparse(a, ell: int) -> tuple[np.ndarray, SparsityPattern]:
+def project_sparse(a, ell: int) -> np.ndarray:
     """Keep the ``ell`` largest-magnitude entries of ``a``, zero the rest.
 
     The budget is global over all entries, not per row.  Magnitude ties are
     broken by row-major index order (earlier index wins), which keeps the
-    projection deterministic.  Returns the thresholded matrix and the
-    pattern of retained nonzero coordinates.
+    projection deterministic.  Zeros are never kept, so the retained
+    coordinates are exactly the nonzeros of the result.
     """
     A = as_matrix(a, "A")
     if ell < 0:
         raise InvalidInputError("project_sparse: ell must be nonnegative")
-    n = A.shape[1]
-    out, mask = _topk_raw(A, ell)
-    kept = tuple((int(i) // n, int(i) % n) for i in np.flatnonzero(mask))
-    return out, SparsityPattern(kept=kept, budget=int(ell))
+    out, _ = _topk_raw(A, ell)
+    return out
 
 
 def _topk_threshold(flat: np.ndarray, ell: int) -> float | None:
@@ -96,8 +78,3 @@ def _topk_raw(A: np.ndarray, ell: int) -> tuple[np.ndarray, np.ndarray]:
             # ties at the threshold: the highest indices give way
             mask[np.flatnonzero(flat == thr)[-extra:]] = False
     return np.where(mask.reshape(A.shape), A, 0.0), mask
-
-
-def clamp_nonneg(a) -> np.ndarray:
-    """Entrywise maximum with zero."""
-    return np.maximum(as_matrix(a, "A"), 0.0)

@@ -7,7 +7,10 @@ H, then W, then Wt, each by a half-step of its block gradient (step
 ``1/(2 L_block)``) followed by the block's exact projection.  The three
 displayed update rules fold the leading minus sign of each gradient into
 the step, so every block is a descent step; the objective never increases
-across a sweep.
+across a sweep.  ``step_H``, ``step_W`` and ``step_Wt`` are those block
+steps on plain arrays: each returns the new block and its Lipschitz
+constant, and none validates its input: ``solve``, ``objective``,
+``stationarity_residual`` and ``continuation`` do that once at the boundary.
 
 A sweep costs O(k*n) beyond its matrix products: the top-ell step selects
 the ell-th largest magnitude with ``np.partition`` instead of sorting all
@@ -29,7 +32,6 @@ from .core import (
     SaaConfig,
     _spectral_norm_raw,
     as_matrix,
-    spectral_norm,
 )
 from .projections import _simplex_rows_raw, _topk_raw, _topk_threshold
 
@@ -90,27 +92,6 @@ def objective(X, fac: Factorization, lam: float) -> ObjectiveBreakdown:
     return ObjectiveBreakdown(fit=fit, reg=reg, total=total)
 
 
-def lipschitz_constants(
-    W,
-    H,
-    X,
-    lam: float,
-    eps: float = 1e-6,
-    smax_x: float | None = None,
-) -> tuple[float, float, float]:
-    """Block gradient Lipschitz constants (L1 for H, L2 for W, L3 for Wt)."""
-    if eps <= 0:
-        raise InvalidInputError("lipschitz_constants: eps must be positive")
-    sw = spectral_norm(W)
-    sh = spectral_norm(H)
-    if smax_x is None:
-        smax_x = spectral_norm(X)
-    l1 = 2.0 * (lam + sw * sw)
-    l2 = 2.0 * max(sh * sh, eps)
-    l3 = 2.0 * lam * smax_x * smax_x
-    return l1, l2, l3
-
-
 def grad_H(X, fac: Factorization, lam: float) -> np.ndarray:
     return -2.0 * fac.W.T @ (X - fac.W @ fac.H) + 2.0 * lam * (fac.H - fac.Wt @ X)
 
@@ -135,56 +116,37 @@ def _h_target_raw(X, H, W, Wt, lam, l1, r1=None, wtx=None):
     return np.maximum(H - (-(W.T @ r1) + lam * (H - wtx)) / l1, 0.0)
 
 
-def _step_h_raw(X, H, W, Wt, lam, ell, l1, r1=None, wtx=None):
+def step_H(X, H, W, Wt, lam, ell, r1=None, wtx=None):
+    """Proximal descent step on H: clamp the gradient step, then keep the
+    top ``ell`` entries.  Returns ``(H1, L1)`` with ``L1 = 2 (lam + ||W||^2)``.
+
+    ``r1 = X - W H`` and ``wtx = Wt X`` are computed when not given.
+    """
+    sw = _spectral_norm_raw(W)
+    l1 = 2.0 * (lam + sw * sw)
     out, _ = _topk_raw(_h_target_raw(X, H, W, Wt, lam, l1, r1, wtx), ell)
-    return out
+    return out, l1
 
 
-def _step_w_raw(X, H, W, l2):
-    return _simplex_rows_raw(W + ((X - W @ H) @ H.T) / l2)
+def step_W(X, H, W, eps):
+    """Projected descent step on W; the gradient does not involve ``lam``.
+    Returns ``(W1, L2)`` with ``L2 = 2 max(||H||^2, eps)``."""
+    sh = _spectral_norm_raw(H)
+    l2 = 2.0 * max(sh * sh, eps)
+    return _simplex_rows_raw(W + ((X - W @ H) @ H.T) / l2), l2
 
 
-def _step_wt_raw(X, H, Wt, lam, l3, wtx=None):
-    if lam == 0.0:
-        return Wt.copy()
+def step_Wt(X, H, Wt, lam, smax_x, wtx=None):
+    """Projected descent step on Wt; returns ``(Wt1, L3)`` with
+    ``L3 = 2 lam ||X||^2``.  ``L3 == 0`` (``lam == 0`` or ``X == 0``) makes
+    the block's objective constant, so ``Wt`` is returned unchanged.
+    ``wtx = Wt X`` is computed when not given."""
+    l3 = 2.0 * lam * smax_x * smax_x
+    if l3 == 0.0:
+        return Wt.copy(), l3
     if wtx is None:
         wtx = Wt @ X
-    return _simplex_rows_raw(Wt + (lam / l3) * ((H - wtx) @ X.T))
-
-
-def step_H(X, fac: Factorization, lam: float, ell: int, l1: float | None = None) -> np.ndarray:
-    """Proximal descent step on H: clamp then keep the top ``ell`` entries."""
-    Xm = as_matrix(X, "X")
-    if l1 is None:
-        sw = spectral_norm(fac.W)
-        l1 = 2.0 * (lam + sw * sw)
-    return _step_h_raw(Xm, fac.H, fac.W, fac.Wt, lam, ell, l1)
-
-
-def step_W(
-    X,
-    fac: Factorization,
-    lam: float = 0.0,
-    eps: float = 1e-6,
-    l2: float | None = None,
-) -> np.ndarray:
-    """Projected descent step on W; the gradient does not involve ``lam``."""
-    Xm = as_matrix(X, "X")
-    if l2 is None:
-        sh = spectral_norm(fac.H)
-        l2 = 2.0 * max(sh * sh, eps)
-    return _step_w_raw(Xm, fac.H, fac.W, l2)
-
-
-def step_Wt(X, fac: Factorization, lam: float, l3: float | None = None) -> np.ndarray:
-    """Projected descent step on Wt; skipped (input returned) when lam == 0."""
-    Xm = as_matrix(X, "X")
-    if lam == 0.0:
-        return fac.Wt.copy()
-    if l3 is None:
-        sx = spectral_norm(Xm)
-        l3 = 2.0 * lam * sx * sx
-    return _step_wt_raw(Xm, fac.H, fac.Wt, lam, l3)
+    return _simplex_rows_raw(Wt + (lam / l3) * ((H - wtx) @ X.T)), l3
 
 
 def default_init(X, cfg: SaaConfig) -> Factorization:
@@ -202,14 +164,9 @@ def _sweep_raw(X, H, W, Wt, lam, ell, eps, smax_x, r1=None, wtx=None):
     iterate are computed when not given."""
     if wtx is None:
         wtx = Wt @ X
-    sw = _spectral_norm_raw(W)
-    l1 = 2.0 * (lam + sw * sw)
-    H1 = _step_h_raw(X, H, W, Wt, lam, ell, l1, r1, wtx)
-    sh = _spectral_norm_raw(H1)
-    l2 = 2.0 * max(sh * sh, eps)
-    W1 = _step_w_raw(X, H1, W, l2)
-    l3 = 2.0 * lam * smax_x * smax_x
-    Wt1 = _step_wt_raw(X, H1, Wt, lam, l3, wtx)
+    H1, l1 = step_H(X, H, W, Wt, lam, ell, r1, wtx)
+    W1, l2 = step_W(X, H1, W, eps)
+    Wt1, l3 = step_Wt(X, H1, Wt, lam, smax_x, wtx)
     return H1, W1, Wt1, (l1, l2, l3)
 
 

@@ -106,6 +106,19 @@ def test_fit_zero_init_and_local_search(synth_dir, tmp_path):
     assert summary["mip"] is None
 
 
+@pytest.mark.parametrize("init", ["mip", "zero"])
+def test_fit_all_zero_data(tmp_path, init):
+    # X = 0 makes the Wt-block constant (L3 = 0): the step is skipped, not
+    # divided by zero
+    np.savetxt(tmp_path / "X.csv", np.zeros((6, 4)), delimiter=",")
+    out = tmp_path / "fit"
+    assert run(["fit", "--data", tmp_path / "X.csv", "--k", 2, "--ell", 4,
+                "--init", init, "--local-search", "on", "--out", out]) == 0
+    summary = read_json(out / "summary.json")
+    assert summary["objective"]["total"] == 0.0
+    assert not read_matrix_csv(out / "H.csv").any()
+
+
 def test_fit_rejects_bad_config(synth_dir, tmp_path):
     rc = run(fit_args(synth_dir, tmp_path / "bad", **{"--ell": 0}))
     assert rc == 2

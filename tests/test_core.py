@@ -91,12 +91,6 @@ def test_config_validation():
     assert cfg.lambda_schedule == (30.0, 10.0, 1.0)
 
 
-def test_config_json_roundtrip():
-    cfg = SaaConfig(k=3, ell=9, lam=2.5, seed=11)
-    again = SaaConfig.from_json(cfg.to_json())
-    assert again == cfg
-
-
 def test_factorization_validation():
     H = np.array([[1.0, 0.0]])
     W = np.array([[0.4, 0.6], [0.5, 0.5]])

@@ -7,7 +7,6 @@ import pytest
 from sparse_aa import (
     BranchAndBound,
     Cut,
-    CutSet,
     InvalidInputError,
     SaaConfig,
     continuation,
@@ -279,6 +278,37 @@ def test_outer_approximation_bounds_monotone():
     assert all(b2 >= b1 - 1e-9 for b1, b2 in zip(lowers, lowers[1:])) or len(lowers) < 2
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_eval_F_matches_slsqp(seed):
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(seed)
+    m, k, n = 4, 2, 3
+    X = rng.uniform(size=(m, n))
+    b = norm_bound_b(X, k)
+    Z = (rng.random((k, n)) < 0.5).astype(float)
+    val, H, Wt = eval_F(Z, X, b, ell=int(Z.sum()), tol=1e-13, max_iter=50_000)
+
+    # the same QP over v = [vec(H), vec(Wt)]: box bounds on H, Wt >= 0 with
+    # unit row sums
+    def split(v):
+        return v[: k * n].reshape(k, n), v[k * n :].reshape(k, m)
+
+    def f(v):
+        Hv, Wv = split(v)
+        r = Hv - Wv @ X
+        return float(np.sum(r * r)), np.concatenate([2.0 * r.ravel(), (-2.0 * r @ X.T).ravel()])
+
+    bounds = [(0.0, math.sqrt(b) * z) for z in Z.ravel()] + [(0.0, None)] * (k * m)
+    rows = np.kron(np.eye(k), np.ones(m))
+    sums = {"type": "eq", "fun": lambda v: rows @ v[k * n :] - 1.0,
+            "jac": lambda v: np.hstack([np.zeros((k, k * n)), rows])}
+    v0 = np.concatenate([np.zeros(k * n), np.full(k * m, 1.0 / m)])
+    res = optimize.minimize(f, v0, jac=True, method="SLSQP", bounds=bounds,
+                            constraints=[sums], options={"ftol": 1e-15, "maxiter": 1_000})
+    assert res.success
+    assert val == pytest.approx(res.fun, rel=1e-6, abs=1e-8)
+
+
 def test_cut_validity_across_oa_run():
     X, *_ = synth_instance(8, 4, 2, 0.2, seed=21)
     cfg = SaaConfig(k=2, ell=4, lam=1.0)
@@ -293,28 +323,18 @@ def test_cut_validity_across_oa_run():
             assert lhs >= rhs - 1e-6
 
 
-def test_cutset_json_roundtrip():
-    cs = CutSet(k=2, n=2, ell=2)
-    cs.add(Cut(pattern=np.eye(2), value=1.5, grad=-np.ones((2, 2))))
-    cs.best_lower = 0.5
-    again = CutSet.from_json(cs.to_json())
-    assert again.best_upper == cs.best_upper
-    assert again.best_lower == cs.best_lower
-    np.testing.assert_array_equal(again.cuts[0].pattern, cs.cuts[0].pattern)
-    np.testing.assert_array_equal(again.cuts[0].grad, cs.cuts[0].grad)
-
-
 def test_continuation_schedule_length_one_equals_mip_plus_solve():
     X, *_ = synth_instance(10, 6, 2, 0.1, seed=31)
     cfg1 = SaaConfig(k=2, ell=6, lam=1.0, max_iter=2_000, tol_stationary=1e-5)
     oa = outer_approximation(X, cfg1, max_rounds=5)
     fac_a, _ = continuation(X, cfg1, oa=oa)
 
-    from sparse_aa import Factorization, step_W
+    from sparse_aa import Factorization
+    from sparse_aa.solver import step_W
 
     W = np.full((10, 2), 0.5)
     seeded = Factorization(H=oa.H.copy(), W=W, Wt=oa.Wt.copy())
-    seeded.W = step_W(X, seeded, eps=cfg1.eps_safeguard)
+    seeded.W, _ = step_W(X, seeded.H, seeded.W, cfg1.eps_safeguard)
     fac_b, _ = solve(X, seeded, cfg1, lam=1.0)
     np.testing.assert_array_equal(fac_a.H, fac_b.H)
     np.testing.assert_array_equal(fac_a.W, fac_b.W)

@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from sparse_aa import (
     InvalidInputError,
-    clamp_nonneg,
     nnz,
     project_simplex_rows,
     project_sparse,
+    support,
 )
 from sparse_aa.projections import _topk_raw
 from oracles import simplex_qp_oracle, topk_argsort_oracle
@@ -58,22 +58,22 @@ def test_simplex_rows_matches_active_set_oracle(seed):
 
 def test_project_sparse_fixed_cases():
     A = np.array([[3.0, 1.0], [0.0, 2.0]])
-    out, pat = project_sparse(A, 2)
+    out = project_sparse(A, 2)
     np.testing.assert_array_equal(out, [[3.0, 0.0], [0.0, 2.0]])
-    assert pat.kept == ((0, 0), (1, 1))
+    assert support(out, 0.0) == [(0, 0), (1, 1)]
 
-    out, _ = project_sparse(A, 10)  # ell >= nnz keeps everything
+    out = project_sparse(A, 10)  # ell >= nnz keeps everything
     np.testing.assert_array_equal(out, A)
 
-    out, pat = project_sparse(np.array([[1.0, 1.0], [0.0, 0.0]]), 1)
+    out = project_sparse(np.array([[1.0, 1.0], [0.0, 0.0]]), 1)
     np.testing.assert_array_equal(out, [[1.0, 0.0], [0.0, 0.0]])
-    assert pat.kept == ((0, 0),)
+    assert support(out, 0.0) == [(0, 0)]
 
 
 def test_project_sparse_budget_zero():
-    out, pat = project_sparse(np.ones((2, 2)), 0)
+    out = project_sparse(np.ones((2, 2)), 0)
     np.testing.assert_array_equal(out, np.zeros((2, 2)))
-    assert pat.kept == ()
+    assert support(out, 0.0) == []
 
 
 @given(
@@ -85,14 +85,14 @@ def test_project_sparse_budget_zero():
 @settings(max_examples=150, deadline=None)
 def test_project_sparse_invariants(rows, ell):
     A = np.array(rows, dtype=float)
-    P, pat = project_sparse(A, ell)
+    P = project_sparse(A, ell)
     assert nnz(P, 0.0) <= ell
-    assert len(pat.kept) <= pat.budget
+    assert len(support(P, 0.0)) <= ell
     # complement identity and norm contraction
     np.testing.assert_array_equal(P + (A - P), A)
     assert np.linalg.norm(P) <= np.linalg.norm(A) + 1e-12
     # idempotence under the same tie-break
-    P2, _ = project_sparse(P, ell)
+    P2 = project_sparse(P, ell)
     np.testing.assert_array_equal(P2, P)
 
 
@@ -100,10 +100,11 @@ def test_project_sparse_keeps_largest_magnitudes():
     rng = np.random.default_rng(5)
     A = rng.normal(size=(4, 6))
     ell = 7
-    P, pat = project_sparse(A, ell)
-    kept_vals = sorted(abs(A[i, j]) for i, j in pat.kept)
+    P = project_sparse(A, ell)
+    kept = support(P, 0.0)
+    kept_vals = sorted(abs(A[i, j]) for i, j in kept)
     dropped = sorted(
-        abs(v) for idx, v in np.ndenumerate(A) if idx not in set(pat.kept)
+        abs(v) for idx, v in np.ndenumerate(A) if idx not in set(kept)
     )
     assert min(kept_vals) >= max(dropped) - 1e-15
 
@@ -141,15 +142,6 @@ def test_topk_matches_stable_argsort_rule(case):
     out, mask = _topk_raw(A, ell)
     assert out.tobytes() == want.tobytes()
     assert set(np.flatnonzero(mask).tolist()) == set(keep.tolist())
-    P, pat = project_sparse(A, ell)
+    P = project_sparse(A, ell)
     assert P.tobytes() == want.tobytes()
-    assert pat.kept == tuple(sorted(divmod(int(i), A.shape[1]) for i in keep))
-
-
-def test_clamp_nonneg():
-    np.testing.assert_array_equal(clamp_nonneg(np.array([[-1.0, 2.0]])), [[0.0, 2.0]])
-    A = np.array([[0.5, 3.0]])
-    np.testing.assert_array_equal(clamp_nonneg(A), A)
-    np.testing.assert_array_equal(
-        clamp_nonneg(np.array([[-1.0, -2.0]])), np.zeros((1, 2))
-    )
+    assert support(P, 0.0) == sorted(divmod(int(i), A.shape[1]) for i in keep)

@@ -5,19 +5,23 @@ from sparse_aa import (
     Factorization,
     InvalidInputError,
     SaaConfig,
-    lipschitz_constants,
     nnz,
     objective,
     solve,
     spectral_norm,
     stationarity_residual,
-    step_H,
-    step_W,
-    step_Wt,
     synth_instance,
 )
 from sparse_aa.mip_init import continuation
-from sparse_aa.solver import default_init, grad_H, grad_W, grad_Wt
+from sparse_aa.solver import (
+    default_init,
+    grad_H,
+    grad_W,
+    grad_Wt,
+    step_H,
+    step_W,
+    step_Wt,
+)
 from oracles import central_diff_grad, objective_loops_oracle, sweep_loop_oracle
 
 
@@ -77,15 +81,23 @@ def test_objective_matches_loop_oracle(seed):
     assert br.total == pytest.approx(br.fit + lam * br.reg, rel=1e-15)
 
 
-def test_lipschitz_constants_plug_ins():
-    W = np.array([[1.0, 0.0], [0.0, 1.0]])  # sigma_max = 1
-    H = np.zeros((2, 3))
-    X = np.eye(3)
-    l1, l2, l3 = lipschitz_constants(W, H, X, lam=1.0, eps=1e-4)
-    assert l1 == pytest.approx(4.0, rel=1e-9)
-    assert l2 == pytest.approx(2e-4, rel=1e-12)
-    l1b, l2b, l3b = lipschitz_constants(W, H, X, lam=0.0, eps=1e-4)
-    assert l3b == 0.0
+@pytest.mark.parametrize("zero_x", [False, True], ids=["random-X", "zero-X"])
+def test_first_step_sizes_are_quarter_inverse_lipschitz(zero_x):
+    X = np.zeros((5, 3)) if zero_x else synth_instance(5, 3, 2, 0.1, seed=4)[0]
+    cfg = SaaConfig(k=2, ell=4, lam=1.5, max_iter=1)
+    fac0 = default_init(X, cfg)
+    fac, trace = solve(X, fac0, cfg)
+    s1, s2, s3 = trace.step_sizes[0]
+    lam, eps = cfg.final_lambda, cfg.eps_safeguard
+    assert s1 == pytest.approx(1.0 / (4.0 * (lam + spectral_norm(fac0.W) ** 2)), rel=1e-12)
+    assert s2 == pytest.approx(1.0 / (4.0 * max(spectral_norm(fac.H) ** 2, eps)), rel=1e-12)
+    if zero_x:
+        # H stays zero, so the W-step hits the eps floor; X = 0 makes the
+        # Wt-block constant and its step unbounded
+        assert s2 == 250000.0
+        assert s3 == np.inf
+    else:
+        assert s3 == pytest.approx(1.0 / (4.0 * lam * spectral_norm(X) ** 2), rel=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -127,12 +139,12 @@ def rel_err(a, b):
 def test_step_H_fixed_point_and_feasibility():
     rng = np.random.default_rng(1)
     X, fac = exact_point(rng)
-    out = step_H(X, fac, lam=1.5, ell=nnz(fac.H, 0.0))
+    out, _ = step_H(X, fac.H, fac.W, fac.Wt, 1.5, nnz(fac.H, 0.0))
     np.testing.assert_allclose(out, fac.H, atol=1e-12)
 
     fac2 = random_feasible(rng)
     X2 = rng.uniform(size=(5, 4))
-    out2 = step_H(X2, fac2, lam=1.0, ell=6)
+    out2, _ = step_H(X2, fac2.H, fac2.W, fac2.Wt, 1.0, 6)
     assert np.all(out2 >= 0.0)
     assert nnz(out2, 0.0) <= 6
 
@@ -140,12 +152,12 @@ def test_step_H_fixed_point_and_feasibility():
 def test_step_W_descends_and_fixed_point():
     rng = np.random.default_rng(2)
     X, fac = exact_point(rng)
-    np.testing.assert_allclose(step_W(X, fac), fac.W, atol=1e-9)
+    np.testing.assert_allclose(step_W(X, fac.H, fac.W, 1e-6)[0], fac.W, atol=1e-9)
 
     fac2 = random_feasible(rng)
     X2 = rng.uniform(size=(5, 4))
     before = objective(X2, fac2, 1.0)
-    W_new = step_W(X2, fac2)
+    W_new, _ = step_W(X2, fac2.H, fac2.W, 1e-6)
     after = objective(X2, Factorization(H=fac2.H, W=W_new, Wt=fac2.Wt), 1.0)
     assert after.fit <= before.fit + 1e-12
     if np.linalg.norm(grad_W(X2, fac2)) > 1e-8:
@@ -155,13 +167,15 @@ def test_step_W_descends_and_fixed_point():
 def test_step_Wt_fixed_point_and_lambda_zero():
     rng = np.random.default_rng(3)
     X, fac = exact_point(rng)
-    np.testing.assert_allclose(step_Wt(X, fac, lam=1.0), fac.Wt, atol=1e-9)
+    sx = spectral_norm(X)
+    np.testing.assert_allclose(step_Wt(X, fac.H, fac.Wt, 1.0, sx)[0], fac.Wt, atol=1e-9)
 
     fac2 = random_feasible(rng)
     X2 = rng.uniform(size=(5, 4))
-    np.testing.assert_array_equal(step_Wt(X2, fac2, lam=0.0), fac2.Wt)
+    sx2 = spectral_norm(X2)
+    np.testing.assert_array_equal(step_Wt(X2, fac2.H, fac2.Wt, 0.0, sx2)[0], fac2.Wt)
     before = objective(X2, fac2, 2.0)
-    Wt_new = step_Wt(X2, fac2, lam=2.0)
+    Wt_new, _ = step_Wt(X2, fac2.H, fac2.Wt, 2.0, sx2)
     after = objective(X2, Factorization(H=fac2.H, W=fac2.W, Wt=Wt_new), 2.0)
     assert after.reg <= before.reg + 1e-12
 
@@ -305,6 +319,7 @@ def edge_instances():
         "duplicate rows": (np.vstack([B, B[:2]]), 2, 5),
         "zero rows": (np.vstack([B, np.zeros((2, 4))]), 2, 5),
         "zero column": (np.hstack([B, np.zeros((6, 1))]), 2, 6),
+        "all-zero X": (np.zeros((5, 3)), 2, 4),
     }
 
 
