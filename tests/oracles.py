@@ -5,8 +5,9 @@ with the library path it checks: active-set enumeration for the simplex
 projection, support enumeration for hull distances, exhaustive pattern
 enumeration for the cut MILP, central finite differences for gradients,
 and golden-section search for the one-dimensional refit.  The top-ell and
-sweep-loop oracles keep the solver's earlier formulas (a full stable
-argsort, every residual recomputed) as references for bit-identity tests.
+sweep-loop oracles write the solver's work out the long way (a full stable
+argsort; every residual recomputed, no residual carried between sweeps) as
+references for bit-identity tests.
 """
 
 import itertools
@@ -199,15 +200,21 @@ def topk_argsort_oracle(A: np.ndarray, ell: int):
     return out, keep
 
 
-def sweep_loop_oracle(X, cfg, lam: float):
+def sweep_loop_oracle(X, cfg, lam: float, momentum: bool = True):
     """The block proximal-gradient solve written out with no shared work.
 
     Starts from the uniform weights and the thresholded ``Wt X``, and every
     block step recomputes its residuals from scratch.  It reuses only the
     library's power-iteration spectral norm and simplex projection, which
-    the sweep calls unchanged.  Stops by the solver's rule and returns
-    ``(H, W, Wt, objectives, step_sizes, ties)``, where ``ties`` counts the
-    H-steps whose selection had to break a tie at the ell boundary.
+    the sweep calls unchanged.  With ``momentum`` each sweep after the
+    first starts from the extrapolated point ``B + beta (B - B_prev)`` of
+    every block, with the FISTA weight ``beta = (t - 1) / t_next``; a result
+    whose objective is above the current one is rejected for the plain
+    sweep from the current iterate, and ``t`` restarts at 1.  Without it
+    every sweep is the plain one.  Stops by the solver's rule and returns
+    ``(H, W, Wt, objectives, step_sizes, ties, rejects)``: ``ties`` counts
+    the accepted H-steps whose selection had to break a tie at the ell
+    boundary, ``rejects`` the extrapolated sweeps that were rejected.
     """
     from sparse_aa.core import _spectral_norm_raw
     from sparse_aa.projections import _simplex_rows_raw
@@ -217,36 +224,56 @@ def sweep_loop_oracle(X, cfg, lam: float):
         r2 = H - Wt @ X
         return float(np.sum(r1 * r1)) + lam * float(np.sum(r2 * r2))
 
-    m, k = X.shape[0], cfg.k
-    W = np.full((m, k), 1.0 / k)
-    Wt = np.full((k, m), 1.0 / m)
-    H, _ = topk_argsort_oracle(np.maximum(Wt @ X, 0.0), cfg.ell)
-    sx = _spectral_norm_raw(X)
-    total = psi(H, W, Wt)
-    objectives, steps, ties = [total], [], 0
-    for _ in range(cfg.max_iter):
+    def sweep(H, W, Wt):
         sw = _spectral_norm_raw(W)
         l1 = 2.0 * (lam + sw * sw)
         pi = H - (-(W.T @ (X - W @ H)) + lam * (H - Wt @ X)) / l1
         target = np.maximum(pi, 0.0)
         s = np.sort(target.ravel())[::-1]
-        ties += bool(s.size > cfg.ell and s[cfg.ell] > 0.0 and s[cfg.ell - 1] == s[cfg.ell])
+        tie = bool(s.size > cfg.ell and s[cfg.ell] > 0.0 and s[cfg.ell - 1] == s[cfg.ell])
         H1, _ = topk_argsort_oracle(target, cfg.ell)
         sh = _spectral_norm_raw(H1)
         l2 = 2.0 * max(sh * sh, cfg.eps_safeguard)
         W1 = _simplex_rows_raw(W + ((X - W @ H1) @ H1.T) / l2)
         l3 = 2.0 * lam * sx * sx
         Wt1 = _simplex_rows_raw(Wt + (lam / l3) * ((H1 - Wt @ X) @ X.T))
-        new_total = psi(H1, W1, Wt1)
+        return H1, W1, Wt1, (0.5 / l1, 0.5 / l2, 0.5 / l3 if l3 > 0 else np.inf), tie
+
+    m, k = X.shape[0], cfg.k
+    W = np.full((m, k), 1.0 / k)
+    Wt = np.full((k, m), 1.0 / m)
+    H, _ = topk_argsort_oracle(np.maximum(Wt @ X, 0.0), cfg.ell)
+    Hp, Wp, Wtp = H, W, Wt
+    sx = _spectral_norm_raw(X)
+    total = psi(H, W, Wt)
+    objectives, steps, ties, rejects = [total], [], 0, 0
+    t = 1.0
+    for _ in range(cfg.max_iter):
+        t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        beta = (t - 1.0) / t_next if momentum else 0.0
+        if beta > 0.0:
+            out = sweep(H + beta * (H - Hp), W + beta * (W - Wp), Wt + beta * (Wt - Wtp))
+            new_total = psi(*out[:3])
+            if new_total > total:
+                rejects += 1
+                t_next = 1.0
+                out = sweep(H, W, Wt)
+                new_total = psi(*out[:3])
+        else:
+            out = sweep(H, W, Wt)
+            new_total = psi(*out[:3])
+        H1, W1, Wt1, step, tie = out
+        ties += tie
         change = max(
             float(np.linalg.norm(H1 - H)),
             float(np.linalg.norm(W1 - W)),
             float(np.linalg.norm(Wt1 - Wt)),
         )
         objectives.append(new_total)
-        steps.append((0.5 / l1, 0.5 / l2, 0.5 / l3 if l3 > 0 else np.inf))
+        steps.append(step)
         done = (total - new_total) <= cfg.tol_objective * max(total, 1e-30)
-        H, W, Wt, total = H1, W1, Wt1, new_total
+        Hp, Wp, Wtp = H, W, Wt
+        H, W, Wt, total, t = H1, W1, Wt1, new_total, t_next
         if done and change <= cfg.tol_stationary:
             break
-    return H, W, Wt, objectives, steps, ties
+    return H, W, Wt, objectives, steps, ties, rejects

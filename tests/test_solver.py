@@ -298,15 +298,47 @@ def test_solve_matches_sweep_loop_oracle_bit_for_bit(make):
     X, base = make()
     cfg = SaaConfig(k=base.k, ell=base.ell, max_iter=300, tol_objective=1e-300, tol_stationary=1e-300)
     fac, trace = solve(X, None, cfg, lam=1.0)
-    H, W, Wt, objectives, steps, ties = sweep_loop_oracle(X, cfg, 1.0)
-    assert trace.iterations == 300
+    H, W, Wt, objectives, steps, ties, rejects = sweep_loop_oracle(X, cfg, 1.0)
+    assert trace.iterations == len(objectives) - 1
+    # with tolerances of 1e-300 only an exact fixed point (no block moves)
+    # stops before the cap; the tie instance reaches one after 201 sweeps
+    assert trace.iterations == 300 or trace.stationarity_residual == 0.0
     assert trace.objectives == objectives
     assert trace.step_sizes == steps
     assert fac.H.tobytes() == H.tobytes()
     assert fac.W.tobytes() == W.tobytes()
     assert fac.Wt.tobytes() == Wt.tobytes()
+    assert rejects > 0  # the plain-sweep fallback is exercised
     if make is tie_instance:
         assert ties > 0
+
+
+def test_momentum_converges_where_the_plain_loop_stops_at_its_cap():
+    X = synth_instance(20, 10, 3, 0.1, seed=7)[0]
+    cfg = SaaConfig(k=3, ell=15, max_iter=1_000)
+    plain = sweep_loop_oracle(X, cfg, 1.0, momentum=False)[3]
+    fac, trace = solve(X, None, cfg, lam=1.0)
+    assert len(plain) - 1 == cfg.max_iter  # the plain loop is cut by its cap
+    assert trace.converged and trace.iterations < cfg.max_iter
+    assert trace.objectives[-1] <= plain[-1] * (1.0 + 1e-9)
+    fac.validate(cfg.ell)
+
+
+def test_first_sweep_is_the_plain_sweep():
+    from sparse_aa.solver import _sweep_raw
+
+    X = synth_instance(8, 5, 2, 0.05, seed=2)[0]
+    cfg = SaaConfig(k=2, ell=6, lam=2.0, max_iter=1)
+    fac0 = default_init(X, cfg)
+    fac, trace = solve(X, fac0, cfg)
+    H, W, Wt, (l1, l2, l3) = _sweep_raw(
+        X, fac0.H, fac0.W, fac0.Wt, 2.0, cfg.ell, cfg.eps_safeguard, spectral_norm(X)
+    )
+    assert trace.iterations == 1
+    assert trace.step_sizes == [(0.5 / l1, 0.5 / l2, 0.5 / l3)]
+    assert trace.objectives[1] == objective(X, Factorization(H=H, W=W, Wt=Wt), 2.0).total
+    for got, want in ((fac.H, H), (fac.W, W), (fac.Wt, Wt)):
+        assert got.tobytes() == want.tobytes()
 
 
 def edge_instances():
