@@ -370,3 +370,72 @@ def test_continuation_output_feasible():
     fac.validate(cfg.ell)
     assert len(traces) == 4
     assert nnz(fac.H, 0.0) <= cfg.ell
+
+
+class CountingBackend(BranchAndBound):
+    """Exact or capped master that records each solution's pattern and bound."""
+
+    def __init__(self, node_cap=None):
+        super().__init__(node_cap)
+        self.solutions = []
+
+    def minimize_cuts(self, offsets, grads, shape, ell):
+        sol = super().minimize_cuts(offsets, grads, shape, ell)
+        self.solutions.append((sol.Z.copy(), sol.eta))
+        return sol
+
+
+def oa_exit_instance():
+    X = np.random.default_rng(0).uniform(size=(5, 3)) + 0.1
+    return X, SaaConfig(k=2, ell=3, lam=1.0)
+
+
+def test_oa_exit_gap_closed_after_master():
+    X, cfg = oa_exit_instance()
+    backend = CountingBackend()
+    res = outer_approximation(X, cfg, max_rounds=100, backend=backend)
+    cs = res.cutset
+    assert res.converged
+    assert res.rounds == len(cs.cuts) == len(backend.solutions) == 20
+    # the last master raised the bound onto the incumbent
+    assert backend.solutions[-1][1] >= cs.best_upper == cs.best_lower
+    assert cs.best_upper - cs.best_lower <= 1e-6 * cs.best_upper
+
+
+def test_oa_exit_repeated_pattern():
+    # a one-node master cannot certify, so it proposes a pattern already cut
+    X, *_ = synth_instance(10, 5, 2, 0.1, seed=13)
+    cfg = SaaConfig(k=2, ell=5, lam=1.0)
+    backend = CountingBackend(node_cap=1)
+    res = outer_approximation(X, cfg, max_rounds=30, backend=backend)
+    cs = res.cutset
+    assert res.converged
+    assert res.rounds == len(cs.cuts) == len(backend.solutions) == 10
+    assert cs.gap > 1e-6
+    last_Z = backend.solutions[-1][0]
+    assert any(np.array_equal(c.pattern, last_Z) for c in cs.cuts)
+
+
+def test_oa_exit_max_rounds_keeps_last_master_bound():
+    # on this instance the ninth master is the first to lift the bound
+    X = np.random.default_rng(0).uniform(size=(4, 3))
+    cfg = SaaConfig(k=2, ell=2, lam=1.0)
+    backend = CountingBackend()
+    res = outer_approximation(X, cfg, max_rounds=9, backend=backend)
+    cs = res.cutset
+    assert not res.converged
+    assert res.rounds == len(cs.cuts) == len(backend.solutions) == 9
+    etas = [eta for _, eta in backend.solutions]
+    assert max(etas[:-1]) <= 0.0 < etas[-1] < cs.best_upper
+    # the master of the last round still counts towards the reported bound
+    assert cs.best_lower == etas[-1]
+
+
+def test_oa_exit_time_budget_zero():
+    X, cfg = oa_exit_instance()
+    backend = CountingBackend()
+    res = outer_approximation(X, cfg, max_rounds=100, backend=backend, time_budget=0.0)
+    assert not res.converged
+    assert res.rounds == len(res.cutset.cuts) == 1
+    assert backend.solutions == []
+    assert res.cutset.best_lower == 0.0
