@@ -49,7 +49,6 @@ from .local_search import (
 from .mip_init import (
     BranchAndBound,
     Cut,
-    MilpBackend,
     continuation,
     eval_F,
     milp_min_cuts,
@@ -67,7 +66,6 @@ __all__ = [
     "Cut",
     "Factorization",
     "InvalidInputError",
-    "MilpBackend",
     "NumericalError",
     "SaaConfig",
     "appendixB_fixture",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 import time
 from pathlib import Path
@@ -36,22 +37,30 @@ SCHEMA = "sparse-aa-v1"
 
 
 def parse_lambda(text: str) -> float | tuple[float, ...]:
-    """Either a single value or ``log:hi:lo:n`` for a log-spaced schedule."""
-    if text.startswith("log:"):
-        parts = text.split(":")
-        if len(parts) != 4:
-            raise InvalidInputError(
-                f"bad lambda schedule {text!r}: expected log:hi:lo:n"
-            )
-        hi, lo, count = float(parts[1]), float(parts[2]), int(parts[3])
-        if count < 1 or hi <= lo or lo <= 0:
-            raise InvalidInputError(
-                f"bad lambda schedule {text!r}: need hi > lo > 0 and n >= 1"
-            )
-        if count == 1:
-            return (lo,)
-        return tuple(np.geomspace(hi, lo, count).tolist())
-    return float(text)
+    """Either a single finite value or ``log:hi:lo:n`` for a log-spaced
+    schedule."""
+    if not text.startswith("log:"):
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise InvalidInputError(f"bad lambda {text!r}: expected a finite number")
+        return value
+    try:
+        _, hi_text, lo_text, count_text = text.split(":")
+        hi, lo, count = float(hi_text), float(lo_text), int(count_text)
+    except ValueError:
+        raise InvalidInputError(
+            f"bad lambda schedule {text!r}: expected log:hi:lo:n"
+        ) from None
+    if count < 1 or not (math.isfinite(hi) and hi > lo > 0):
+        raise InvalidInputError(
+            f"bad lambda schedule {text!r}: need finite hi > lo > 0 and n >= 1"
+        )
+    if count == 1:
+        return (lo,)
+    return tuple(np.geomspace(hi, lo, count).tolist())
 
 
 def zero_init(X: np.ndarray, cfg: SaaConfig) -> Factorization:

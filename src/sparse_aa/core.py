@@ -200,7 +200,7 @@ class Factorization:
         self.W = as_matrix(self.W, "W")
         self.Wt = as_matrix(self.Wt, "Wt")
 
-    def validate(self, ell: int | None = None, row_tol: float = ROW_SUM_TOL) -> None:
+    def validate(self, ell: int | None = None) -> None:
         """Check nonnegativity, row sums, sparsity, and shape consistency."""
         k, n = self.H.shape
         m = self.W.shape[0]
@@ -216,7 +216,7 @@ class Factorization:
         for name, M in (("W", self.W), ("Wt", self.Wt)):
             if np.any(M < 0):
                 raise InvalidInputError(f"Factorization: {name} must be nonnegative")
-            if np.max(np.abs(M.sum(axis=1) - 1.0), initial=0.0) > row_tol:
+            if np.max(np.abs(M.sum(axis=1) - 1.0), initial=0.0) > ROW_SUM_TOL:
                 raise InvalidInputError(
                     f"Factorization: rows of {name} must sum to one"
                 )
@@ -232,7 +232,10 @@ def write_matrix_csv(path, a) -> None:
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    arr = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
+    try:
+        arr = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
+    except ValueError as exc:  # a non-numeric cell or a ragged row
+        raise InvalidInputError(f"{path}: {exc}") from None
     return as_matrix(arr, str(path))
 
 

@@ -75,25 +75,26 @@ class RobustnessReport:
     sep: float
     pperp_norm: float
     h0_frob: float
-    kappa: float | None
-    sigma_min: float | None
-    constants: dict[str, float] | None
-    weak_bound_rhs: float | None
-    weak_bound_holds: bool | None
-    strong_condition_lhs: float | None
-    strong_condition_holds: bool | None
-    strong_bound_rhs: float | None
-    strong_bound_holds: bool | None
-    sep_weak_rhs: float | None
-    sep_weak_holds: bool | None
-    sep_condition_holds: bool | None
-    sep_strong_rhs: float | None
-    sep_strong_holds: bool | None
     weak_via_strong_rhs: float
     weak_via_strong_holds: bool
     x0_fit_lhs: float
     x0_fit_rhs: float
     x0_fit_holds: bool
+    # undefined (None) when H0 is rank-deficient
+    kappa: float | None = None
+    sigma_min: float | None = None
+    constants: dict[str, float] | None = None
+    weak_bound_rhs: float | None = None
+    weak_bound_holds: bool | None = None
+    strong_condition_lhs: float | None = None
+    strong_condition_holds: bool | None = None
+    strong_bound_rhs: float | None = None
+    strong_bound_holds: bool | None = None
+    sep_weak_rhs: float | None = None
+    sep_weak_holds: bool | None = None
+    sep_condition_holds: bool | None = None
+    sep_strong_rhs: float | None = None
+    sep_strong_holds: bool | None = None
 
     def to_json(self) -> dict:
         d = asdict(self)
@@ -101,15 +102,7 @@ class RobustnessReport:
         return d
 
 
-def robustness_report(
-    H0,
-    H_hat,
-    X0,
-    Z,
-    ell: int,
-    tol: float = 1e-10,
-    max_iter: int = 5_000,
-) -> RobustnessReport:
+def robustness_report(H0, H_hat, X0, Z, ell: int) -> RobustnessReport:
     """Evaluate both robustness distances and every bound for one instance.
 
     ``Z`` is the pre-clipping additive noise; ``delta`` uses its row norms.
@@ -134,7 +127,7 @@ def robustness_report(
     beta = math.sqrt(m) * pperp_norm
     spread = archetype_spread(H0m)
     x0_tilde = X0m[nearest_row_assignment(H0m, X0m)]
-    sep = math.sqrt(max(set_hull_distance(H0m, x0_tilde, tol, max_iter), 0.0))
+    sep = math.sqrt(max(set_hull_distance(H0m, x0_tilde), 0.0))
     h0_frob = float(np.linalg.norm(H0m))
 
     svals = np.linalg.svd(H0m, compute_uv=False)
@@ -143,12 +136,13 @@ def robustness_report(
 
     weak_via_strong_rhs = 2.0 * k * spread**2 + 2.0 * strong
     weak_via_strong_holds = weak <= weak_via_strong_rhs + 1e-9 * max(1.0, weak_via_strong_rhs)
-    x0_fit_lhs = math.sqrt(max(set_hull_distance(X0m, Hm, tol, max_iter), 0.0))
+    x0_fit_lhs = math.sqrt(max(set_hull_distance(X0m, Hm), 0.0))
     x0_fit_rhs = math.sqrt(m) * min(
         math.sqrt(weak), k * h0_frob + math.sqrt(strong)
     )
     x0_fit_holds = x0_fit_lhs <= x0_fit_rhs + 1e-9 * max(1.0, x0_fit_rhs)
 
+    report_kwargs = {}
     if full_rank:
         kappa = float(svals[0]) / sigma_min
         c = robustness_constants(m, k, kappa, sigma_min)
@@ -174,23 +168,6 @@ def robustness_report(
             sep_condition_holds=cor_cond,
             sep_strong_rhs=cor_strong_rhs,
             sep_strong_holds=(math.sqrt(strong) <= cor_strong_rhs) if cor_cond else None,
-        )
-    else:
-        report_kwargs = dict(
-            kappa=None,
-            sigma_min=None,
-            constants=None,
-            weak_bound_rhs=None,
-            weak_bound_holds=None,
-            strong_condition_lhs=None,
-            strong_condition_holds=None,
-            strong_bound_rhs=None,
-            strong_bound_holds=None,
-            sep_weak_rhs=None,
-            sep_weak_holds=None,
-            sep_condition_holds=None,
-            sep_strong_rhs=None,
-            sep_strong_holds=None,
         )
 
     return RobustnessReport(

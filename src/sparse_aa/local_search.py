@@ -29,6 +29,12 @@ from .projections import _simplex_rows_raw
 from .solver import grad_H, objective
 
 _OBJ_FLOOR = 1e-30
+# swap_refit: relative objective decrease that ends the alternations, their
+# cap, and the tolerance and cap of each inner weight fit
+_REFIT_TOL = 1e-9
+_REFIT_MAX_ALTERNATIONS = 5_000
+_REFIT_INNER_TOL = 1e-10
+_REFIT_INNER_MAX_ITER = 2_000
 
 
 @dataclass(frozen=True)
@@ -85,7 +91,7 @@ def optimal_t(X, H_minus, W, Wt, lam: float, i2: int, j2: int) -> float:
     return max(num / den, 0.0)
 
 
-def _fit_weights_rows(M0, target_map, grad_map, lipschitz, tol, max_iter):
+def _fit_weights_rows(M0, target_map, grad_map, lipschitz):
     """Minimize a smooth convex f over row-stochastic matrices.
 
     Returns the minimizer and the number of gradient iterations used.
@@ -98,8 +104,8 @@ def _fit_weights_rows(M0, target_map, grad_map, lipschitz, tol, max_iter):
         _simplex_rows_raw,
         M0,
         step=1.0 / lipschitz,
-        tol=tol,
-        max_iter=max_iter,
+        tol=_REFIT_INNER_TOL,
+        max_iter=_REFIT_INNER_MAX_ITER,
     )
     return M, used
 
@@ -110,18 +116,15 @@ def swap_refit(
     lam: float,
     leaving: tuple[int, int] | None,
     entering: tuple[int, int],
-    tol: float = 1e-9,
-    max_iter: int = 5_000,
-    inner_max_iter: int = 2_000,
     stats: dict | None = None,
 ) -> tuple[Factorization, float]:
     """Re-optimize (W, Wt, t) for the proposed support change.
 
     Alternates the two row-stochastic least-squares blocks with the
     closed-form entry value until the relative objective decrease drops
-    below ``tol``.  Warm-starts from the caller's weights.  When ``stats``
-    is given it receives the alternation count, total inner iterations,
-    and per-alternation objectives.
+    below ``_REFIT_TOL``.  Warm-starts from the caller's weights.  When
+    ``stats`` is given it receives the alternation count, total inner
+    iterations, and per-alternation objectives.
     """
     Xm = as_matrix(X, "X")
     i2, j2 = entering
@@ -138,11 +141,9 @@ def swap_refit(
     l_wt = 2.0 * smax_x * smax_x
     t_val = 0.0
     obj = math.inf
-    inner_tol = min(tol, 1e-10)
-    alternations = 0
     inner_total = 0
     objectives: list[float] = []
-    for alternations in range(1, max_iter + 1):
+    for alternations in range(1, _REFIT_MAX_ALTERNATIONS + 1):
         Ht = H_minus.copy()
         Ht[i2, j2] = t_val
         sh = spectral_norm(Ht) if Ht.any() else 0.0
@@ -151,23 +152,19 @@ def swap_refit(
             lambda M: float(np.linalg.norm(Xm - M @ Ht) ** 2),
             lambda M: -2.0 * (Xm - M @ Ht) @ Ht.T,
             2.0 * sh * sh,
-            inner_tol,
-            inner_max_iter,
         )
         Wt, it_wt = _fit_weights_rows(
             Wt,
             lambda M: float(np.linalg.norm(Ht - M @ Xm) ** 2),
             lambda M: -2.0 * (Ht - M @ Xm) @ Xm.T,
             l_wt,
-            inner_tol,
-            inner_max_iter,
         )
         inner_total += it_w + it_wt
         t_val = optimal_t(Xm, H_minus, W, Wt, lam, i2, j2)
         Ht[i2, j2] = t_val
         new_obj = objective(Xm, Factorization(H=Ht, W=W, Wt=Wt), lam).total
         objectives.append(new_obj)
-        if obj - new_obj <= tol * max(obj, _OBJ_FLOOR):
+        if obj - new_obj <= _REFIT_TOL * max(obj, _OBJ_FLOOR):
             obj = new_obj
             break
         obj = new_obj
@@ -185,8 +182,6 @@ def local_search(
     fac: Factorization,
     cfg: SaaConfig,
     max_swaps: int = 100,
-    refit_tol: float = 1e-9,
-    refit_max_iter: int = 5_000,
 ) -> tuple[Factorization, int, list[SwapProposal]]:
     """Swap loop: propose, refit, accept on strict decrease, stop otherwise.
 
@@ -208,9 +203,7 @@ def local_search(
         else:
             leaving = select_leaving(cur.H)
         entering = select_entering(Xm, cur, lam)
-        cand, cand_psi = swap_refit(
-            Xm, cur, lam, leaving, entering, tol=refit_tol, max_iter=refit_max_iter
-        )
+        cand, cand_psi = swap_refit(Xm, cur, lam, leaving, entering)
         if cand_psi < psi:
             accepted.append(
                 SwapProposal(

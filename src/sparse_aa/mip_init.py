@@ -9,15 +9,14 @@ ell-sparse nonnegative H close to row-convex combinations of the data:
 Z (H box-constrained entrywise to [0, sqrt(b) Z]), ``subgradient_F``
 produces a valid cut from the inner minimizers, and ``outer_approximation``
 alternates evaluation with an exact cut-based master problem.  The master
-is a small MILP solved by the built-in branch-and-bound backend; any other
-solver can be slotted in through the ``MilpBackend`` interface.
+is a small MILP solved by ``BranchAndBound``, an exact depth-first search
+that an optional node cap turns into a bounded one.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +33,8 @@ from .projections import project_simplex_rows
 from .solver import SolveTrace, default_init, solve, step_W
 
 _F_ABS_STOP = 1e-22
+_GAP_ABS = 1e-9  # absolute gap that counts as closed when F is near zero
+_EVAL_F_TOL = 1e-10  # relative tolerance of the inner eval_F solves
 
 
 @dataclass(frozen=True)
@@ -60,7 +61,6 @@ class CutSet:
     cuts: list[Cut] = field(default_factory=list)
     best_upper: float = math.inf
     best_lower: float = 0.0
-    gap_history: list[float] = field(default_factory=list)
 
     @property
     def gap(self) -> float:
@@ -73,6 +73,12 @@ class CutSet:
     def add(self, cut: Cut) -> None:
         self.cuts.append(cut)
         self.best_upper = min(self.best_upper, cut.value)
+
+    def closed(self, tol_gap: float) -> bool:
+        """Whether the bounds agree to ``tol_gap`` relative (or ``_GAP_ABS``)."""
+        return self.best_upper - self.best_lower <= max(
+            tol_gap * max(self.best_upper, 0.0), _GAP_ABS
+        )
 
 
 def norm_bound_b(X, k: int) -> float:
@@ -175,22 +181,10 @@ class MilpSolution:
     nodes: int
 
 
-class MilpBackend(ABC):
-    """Solver interface for the cut-based master problem
+class BranchAndBound:
+    """Exact depth-first branch-and-bound for the cut-based master problem
 
         min_Z max_i (offset_i + <grad_i, Z>)   s.t. Z binary, sum(Z) <= ell.
-
-    ``eta`` must be a valid global lower bound; it equals the optimum when
-    ``optimal`` is true.
-    """
-
-    @abstractmethod
-    def minimize_cuts(self, offsets, grads, shape, ell) -> MilpSolution:
-        raise NotImplementedError
-
-
-class BranchAndBound(MilpBackend):
-    """Exact depth-first branch-and-bound over the pattern binaries.
 
     The node bound is the max over cuts of the cut's own greedy minimum
     (take the most negative free gradients up to the remaining budget),
@@ -206,6 +200,8 @@ class BranchAndBound(MilpBackend):
         self.node_cap = node_cap
 
     def minimize_cuts(self, offsets, grads, shape, ell) -> MilpSolution:
+        """Best pattern found and ``eta``, a global lower bound on the
+        optimum that equals it when ``optimal`` is true."""
         k, n = shape
         offs = np.asarray(offsets, dtype=np.float64)
         G = np.asarray(grads, dtype=np.float64).reshape(len(offs), k * n)
@@ -334,7 +330,7 @@ def milp_min_cuts(
     k: int,
     n: int,
     ell: int,
-    backend: MilpBackend | None = None,
+    backend: BranchAndBound | None = None,
 ) -> tuple[np.ndarray, float]:
     """Minimize the piecewise-linear cut model over feasible binary patterns."""
     cut_list = cuts.cuts if isinstance(cuts, CutSet) else list(cuts)
@@ -365,19 +361,18 @@ def outer_approximation(
     X,
     cfg: SaaConfig,
     tol_gap: float = 1e-6,
-    tol_gap_abs: float = 1e-9,
     max_rounds: int = 50,
-    backend: MilpBackend | None = None,
+    backend: BranchAndBound | None = None,
     time_budget: float | None = None,
-    inner_tol: float = 1e-10,
     inner_max_iter: int = 20_000,
 ) -> OaResult:
     """Alternate F evaluations and master solves until the optimality gap
-    closes or a budget runs out.
+    closes, the master repeats a pattern, or a budget runs out.
 
     The lower bound starts at zero (F is a squared norm) and only improves;
     the returned incumbent is the best pattern evaluated so far together
-    with its inner minimizers.
+    with its inner minimizers, and ``rounds`` counts the patterns evaluated.
+    Each evaluation warm-starts from the incumbent's minimizers.
     """
     if tol_gap <= 0:
         raise InvalidInputError("outer_approximation: tol_gap must be positive")
@@ -397,44 +392,32 @@ def outer_approximation(
     cutset = CutSet(k=k, n=n, ell=ell)
     best = None  # (value, Z, H, Wt)
     seen: set[bytes] = set()
-    warm_h, warm_wt = None, None
     started = time.monotonic()
-    rounds = 0
     converged = False
-    for rounds in range(1, max_rounds + 1):
+    for _ in range(max_rounds):
         key = Z.astype(np.int8).tobytes()
         if key in seen:
             converged = True
-            rounds -= 1
             break
         seen.add(key)
+        h0, wt0 = (None, None) if best is None else best[2:]
         val, Hs, Wts = eval_F(
-            Z, Xm, b, ell, tol=inner_tol, max_iter=inner_max_iter, h0=warm_h, wt0=warm_wt
+            Z, Xm, b, ell, tol=_EVAL_F_TOL, max_iter=inner_max_iter, h0=h0, wt0=wt0
         )
         grad = subgradient_F(Hs, Wts, Xm, b)
         cutset.add(Cut(pattern=Z.copy(), value=val, grad=grad))
         if best is None or val < best[0]:
             best = (val, Z.copy(), Hs, Wts)
-            warm_h, warm_wt = Hs, Wts
-        cutset.gap_history.append(cutset.gap)
-        if cutset.best_upper - cutset.best_lower <= max(
-            tol_gap * max(cutset.best_upper, 0.0), tol_gap_abs
-        ):
+        if cutset.closed(tol_gap):
             converged = True
             break
         if time_budget is not None and time.monotonic() - started > time_budget:
             break
-        Z_next, eta = milp_min_cuts(cutset, k, n, ell, backend=backend)
-        cutset.best_lower = min(
-            max(cutset.best_lower, eta), cutset.best_upper
-        )
-        cutset.gap_history[-1] = cutset.gap
-        if cutset.best_upper - cutset.best_lower <= max(
-            tol_gap * max(cutset.best_upper, 0.0), tol_gap_abs
-        ):
+        Z, eta = milp_min_cuts(cutset, k, n, ell, backend=backend)
+        cutset.best_lower = min(max(cutset.best_lower, eta), cutset.best_upper)
+        if cutset.closed(tol_gap):
             converged = True
             break
-        Z = Z_next
 
     assert best is not None
     return OaResult(
@@ -443,7 +426,7 @@ def outer_approximation(
         Wt=best[3],
         value=best[0],
         cutset=cutset,
-        rounds=rounds,
+        rounds=len(cutset.cuts),
         converged=converged,
     )
 

@@ -217,3 +217,30 @@ def test_fit_default_node_cap_defers_to_library(synth_dir, tmp_path, monkeypatch
     assert run(fit_args(synth_dir, tmp_path / "cap", **{"--oa-node-cap": 7})) == 0
     assert seen[0] is None
     assert seen[1].node_cap == 7
+
+
+@pytest.mark.parametrize(
+    "lam, csv_text, mentions",
+    [
+        ("abc", None, "lambda"),
+        ("log:30:1:x", None, "lambda"),
+        ("nan", None, "lambda"),
+        ("log:inf:1:8", None, "lambda"),
+        ("1.0", "1,2\n3,x\n", "X.csv"),
+        ("1.0", "1,2\n3\n", "X.csv"),
+    ],
+    ids=["lambda-text", "schedule-text", "lambda-nan", "schedule-inf", "csv-cell", "csv-ragged"],
+)
+def test_fit_bad_numbers_are_invalid_input(synth_dir, tmp_path, capsys, lam, csv_text, mentions):
+    data = synth_dir / "X.csv"
+    if csv_text is not None:
+        data = tmp_path / "X.csv"
+        data.write_text(csv_text)
+    out = tmp_path / "out"
+    rc = run(fit_args(synth_dir, out, **{"--data": data, "--lambda": lam, "--init": "zero"}))
+    assert rc == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ")
+    assert mentions in lines[0]
+    assert not out.exists()
