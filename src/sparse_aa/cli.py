@@ -1,9 +1,9 @@
 """Command-line driver: dataset generation, pipeline fits, and evaluation.
 
-Every command is a deterministic function of its inputs, flags, and seed;
-matrices travel as headerless CSV and metadata as JSON with an explicit
-schema tag.  Exit codes: 0 success, 2 invalid input, 3 I/O failure,
-4 numerical failure.
+Every command is a deterministic function of its inputs and flags
+(``synth`` draws its instance from ``--seed``); matrices travel as
+headerless CSV and metadata as JSON with an explicit schema tag.  Exit
+codes: 0 success, 2 invalid input, 3 I/O failure, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .local_search import local_search
 from .mip_init import BranchAndBound, continuation, outer_approximation
 from .solver import SolveTrace, objective, solve
 
-SCHEMA = "sparse-aa-v1"
+SCHEMA = "sparse-aa-v2"
 
 
 def parse_lambda(text: str) -> float | tuple[float, ...]:
@@ -71,75 +71,6 @@ def zero_init(X: np.ndarray, cfg: SaaConfig) -> Factorization:
         W=np.full((m, cfg.k), 1.0 / cfg.k),
         Wt=np.full((cfg.k, m), 1.0 / m),
     )
-
-
-def run_fit(
-    X: np.ndarray,
-    cfg: SaaConfig,
-    init: str = "mip",
-    use_local_search: bool = False,
-    max_swaps: int = 100,
-    oa_kwargs: dict | None = None,
-):
-    """Full pipeline on an in-memory matrix; returns the factorization plus
-    a summary dict, the last solve trace, and the accepted swap log."""
-    timings: dict[str, float] = {}
-    swaps = []
-    if init == "mip":
-        t0 = time.monotonic()
-        oa = outer_approximation(X, cfg, **(oa_kwargs or {}))
-        timings["mip_init"] = time.monotonic() - t0
-        t0 = time.monotonic()
-        fac, traces = continuation(X, cfg, oa=oa)
-        timings["continuation"] = time.monotonic() - t0
-        trace = traces[-1]
-        capped = [lam for lam, tr in zip(cfg.lambda_schedule, traces) if not tr.converged]
-        if capped:
-            print(
-                f"warning: continuation stopped at max_iter={cfg.max_iter} without "
-                f"converging for lambda = {', '.join(f'{lam:.6g}' for lam in capped)}",
-                file=sys.stderr,
-            )
-        oa_info = {
-            "rounds": oa.rounds,
-            "converged": oa.converged,
-            "best_upper": oa.cutset.best_upper,
-            "best_lower": oa.cutset.best_lower,
-            "gap": oa.cutset.gap,
-        }
-    elif init == "zero":
-        t0 = time.monotonic()
-        fac, trace = solve(X, zero_init(X, cfg), cfg, lam=cfg.final_lambda)
-        timings["solve"] = time.monotonic() - t0
-        oa_info = None
-    else:
-        raise InvalidInputError(f"unknown init {init!r} (expected 'zero' or 'mip')")
-
-    if use_local_search:
-        t0 = time.monotonic()
-        fac, n_swaps, swaps = local_search(X, fac, cfg, max_swaps=max_swaps)
-        timings["local_search"] = time.monotonic() - t0
-    else:
-        n_swaps = 0
-
-    final = objective(X, fac, cfg.final_lambda)
-    # timings ride along separately: the summary itself is a deterministic
-    # function of (inputs, config, seed) and reruns must be byte-identical
-    summary = {
-        "schema": SCHEMA,
-        "config": cfg.to_json(),
-        "init": init,
-        "local_search": use_local_search,
-        "objective": {"fit": final.fit, "reg": final.reg, "total": final.total},
-        "nnz_H": nnz(fac.H, 0.0),
-        "iterations": trace.iterations,
-        "converged": trace.converged,
-        "stationarity_residual": trace.stationarity_residual,
-        "boundary_tie": trace.boundary_tie,
-        "swaps_accepted": n_swaps,
-        "mip": oa_info,
-    }
-    return fac, summary, trace, swaps, timings
 
 
 def _write_trace_csv(path: Path, trace: SolveTrace) -> None:
@@ -196,38 +127,77 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_fit(args: argparse.Namespace) -> int:
     X = read_matrix_csv(args.data)
-    lam = parse_lambda(args.lam)
-    if args.ell == 0:
-        raise InvalidInputError(
-            "ell=0 leaves no room for any archetype entry; choose ell >= 1"
-        )
     cfg = SaaConfig(
         k=args.k,
         ell=args.ell,
-        lam=lam,
-        eps_safeguard=args.eps_safeguard,
+        lam=parse_lambda(args.lam),
         tol_objective=args.tol_objective,
         tol_stationary=args.tol_stationary,
         max_iter=args.max_iter,
-        seed=args.seed,
     )
-    oa_kwargs = {
-        "max_rounds": args.oa_rounds,
-        "tol_gap": args.oa_tol_gap,
-        # unset: outer_approximation picks its own size-dependent cap
-        "backend": None
-        if args.oa_node_cap is None
-        else BranchAndBound(node_cap=args.oa_node_cap),
-        "time_budget": args.time_budget,
+    timings: dict[str, float] = {}
+    if args.init == "mip":
+        t0 = time.monotonic()
+        oa = outer_approximation(
+            X,
+            cfg,
+            max_rounds=args.oa_rounds,
+            # unset: outer_approximation picks its own size-dependent cap
+            backend=None
+            if args.oa_node_cap is None
+            else BranchAndBound(node_cap=args.oa_node_cap),
+            time_budget=args.time_budget,
+        )
+        timings["mip_init"] = time.monotonic() - t0
+        t0 = time.monotonic()
+        fac, traces = continuation(X, cfg, oa=oa)
+        timings["continuation"] = time.monotonic() - t0
+        trace = traces[-1]
+        capped = [lam for lam, tr in zip(cfg.lambda_schedule, traces) if not tr.converged]
+        if capped:
+            print(
+                f"warning: continuation stopped at max_iter={cfg.max_iter} without "
+                f"converging for lambda = {', '.join(f'{lam:.6g}' for lam in capped)}",
+                file=sys.stderr,
+            )
+        oa_info = {
+            "rounds": oa.rounds,
+            "converged": oa.converged,
+            "best_upper": oa.cutset.best_upper,
+            "best_lower": oa.cutset.best_lower,
+            "gap": oa.cutset.gap,
+        }
+    else:  # "zero"
+        t0 = time.monotonic()
+        fac, trace = solve(X, zero_init(X, cfg), cfg, lam=cfg.final_lambda)
+        timings["solve"] = time.monotonic() - t0
+        oa_info = None
+
+    swaps = []
+    n_swaps = 0
+    if args.local_search == "on":
+        t0 = time.monotonic()
+        fac, n_swaps, swaps = local_search(X, fac, cfg, max_swaps=args.max_swaps)
+        timings["local_search"] = time.monotonic() - t0
+
+    final = objective(X, fac, cfg.final_lambda)
+    # timings ride along separately: the summary itself is a deterministic
+    # function of the input matrix and the flags, and reruns must be
+    # byte-identical
+    summary = {
+        "schema": SCHEMA,
+        "config": cfg.to_json(),
+        "init": args.init,
+        "local_search": args.local_search == "on",
+        "objective": {"fit": final.fit, "reg": final.reg, "total": final.total},
+        "nnz_H": nnz(fac.H, 0.0),
+        "iterations": trace.iterations,
+        "converged": trace.converged,
+        "stationarity_residual": trace.stationarity_residual,
+        "boundary_tie": trace.boundary_tie,
+        "swaps_accepted": n_swaps,
+        "mip": oa_info,
     }
-    fac, summary, trace, swaps, timings = run_fit(
-        X,
-        cfg,
-        init=args.init,
-        use_local_search=args.local_search == "on",
-        max_swaps=args.max_swaps,
-        oa_kwargs=oa_kwargs,
-    )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_matrix_csv(out / "H.csv", fac.H)
@@ -248,7 +218,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     Z = read_matrix_csv(truth / "Z.csv")
     labels = None
     if args.labels:
-        labels = np.loadtxt(args.labels, dtype=np.int64, ndmin=1)
+        try:
+            labels = np.loadtxt(args.labels, dtype=np.int64, ndmin=1)
+        except ValueError as exc:  # a line that is not an integer
+            raise InvalidInputError(f"{args.labels}: {exc}") from None
 
     rows = []
     for fit_dir in args.fit:
@@ -265,7 +238,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
         row = {
             "schema": SCHEMA,
             "fit": str(fit_dir),
-            "seed": summary["config"]["seed"],
             "sigma_z": manifest["sigma_z"],
             "ell": ell,
             "weak": rep.weak,
@@ -344,16 +316,13 @@ def build_parser() -> argparse.ArgumentParser:
         default="log:30:1:8",
         help="penalty value or log:hi:lo:n schedule (default log:30:1:8)",
     )
-    pf.add_argument("--eps-safeguard", dest="eps_safeguard", type=float, default=1e-6)
     pf.add_argument("--tol-objective", dest="tol_objective", type=float, default=1e-8)
     pf.add_argument("--tol-stationary", dest="tol_stationary", type=float, default=1e-7)
     pf.add_argument("--max-iter", dest="max_iter", type=int, default=10_000)
-    pf.add_argument("--seed", type=int, default=0)
     pf.add_argument("--init", choices=["zero", "mip"], default="mip")
     pf.add_argument("--local-search", dest="local_search", choices=["on", "off"], default="off")
     pf.add_argument("--max-swaps", dest="max_swaps", type=int, default=100)
     pf.add_argument("--oa-rounds", dest="oa_rounds", type=int, default=50)
-    pf.add_argument("--oa-tol-gap", dest="oa_tol_gap", type=float, default=1e-6)
     pf.add_argument("--oa-node-cap", dest="oa_node_cap", type=int, default=None)
     pf.add_argument(
         "--time-budget",

@@ -18,6 +18,8 @@ import numpy as np
 
 ROW_SUM_TOL = 1e-9
 ZERO_TOL = 1e-12
+_POWER_TOL = 1e-10  # relative change that stops the power iteration
+_POWER_MAX_ITER = 10_000
 
 
 class InvalidInputError(ValueError):
@@ -50,41 +52,40 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
     return arr
 
 
-def spectral_norm(a, tol: float = 1e-10, max_iter: int = 10_000) -> float:
+def spectral_norm(a) -> float:
     """Largest singular value of ``a`` by power iteration on the Gram matrix.
 
     Starts from the normalized all-ones vector so repeated calls are
     bit-reproducible; falls back to a ramp start if the first start is
     annihilated.  Wide matrices are transposed first (singular values are
     transpose-invariant) to keep the Gram small.  Stops once the estimate
-    changes by less than ``tol`` relative, or after ``max_iter`` iterations.
+    changes by less than ``_POWER_TOL`` relative, or after
+    ``_POWER_MAX_ITER`` iterations.
     """
     A = as_matrix(a, "A")
     if A.size == 0:
         raise InvalidInputError("spectral_norm: empty matrix")
-    if tol <= 0:
-        raise InvalidInputError("spectral_norm: tol must be positive")
-    return _spectral_norm_raw(A, tol, max_iter)
+    return _spectral_norm_raw(A)
 
 
-def _spectral_norm_raw(A: np.ndarray, tol: float = 1e-10, max_iter: int = 10_000) -> float:
+def _spectral_norm_raw(A: np.ndarray) -> float:
     if A.shape[0] < A.shape[1]:
         A = A.T  # singular values are transpose-invariant; keep the Gram small
     n = A.shape[1]
     gram = A.T @ A  # power iteration runs on the Gram matrix
     start = np.full(n, 1.0 / math.sqrt(n))
-    sigma = _power_iteration(gram, start, tol, max_iter)
+    sigma = _power_iteration(gram, start)
     if sigma == 0.0:
         # all-ones can be orthogonal to the top right-singular vector
         ramp = np.arange(1.0, n + 1.0)
         ramp /= math.sqrt(float(ramp @ ramp))
-        sigma = _power_iteration(gram, ramp, tol, max_iter)
+        sigma = _power_iteration(gram, ramp)
     return sigma
 
 
-def _power_iteration(gram: np.ndarray, v: np.ndarray, tol: float, max_iter: int) -> float:
+def _power_iteration(gram: np.ndarray, v: np.ndarray) -> float:
     sigma = -1.0
-    for _ in range(max_iter):
+    for _ in range(_POWER_MAX_ITER):
         w = gram @ v
         rayleigh = float(v @ w)
         if rayleigh <= 0.0:
@@ -94,7 +95,7 @@ def _power_iteration(gram: np.ndarray, v: np.ndarray, tol: float, max_iter: int)
         if nw == 0.0:
             return s
         v = w / nw
-        if sigma >= 0.0 and abs(s - sigma) <= tol * s:
+        if sigma >= 0.0 and abs(s - sigma) <= _POWER_TOL * s:
             return s
         sigma = s
     return sigma
@@ -129,11 +130,9 @@ class SaaConfig:
     k: int
     ell: int
     lam: float | Sequence[float] = 1.0
-    eps_safeguard: float = 1e-6
     tol_objective: float = 1e-8
     tol_stationary: float = 1e-7
     max_iter: int = 10_000
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -151,8 +150,6 @@ class SaaConfig:
             raise InvalidInputError(
                 "SaaConfig: lambda schedule must be strictly decreasing"
             )
-        if self.eps_safeguard <= 0:
-            raise InvalidInputError("SaaConfig: eps_safeguard must be positive")
         if self.tol_objective <= 0 or self.tol_stationary <= 0:
             raise InvalidInputError("SaaConfig: tolerances must be positive")
         if self.max_iter < 1:
@@ -169,17 +166,14 @@ class SaaConfig:
         return self.lambda_schedule[-1]
 
     def to_json(self) -> dict:
-        d = {
+        return {
             "k": self.k,
             "ell": self.ell,
             "lambda": list(self.lambda_schedule),
-            "eps_safeguard": self.eps_safeguard,
             "tol_objective": self.tol_objective,
             "tol_stationary": self.tol_stationary,
             "max_iter": self.max_iter,
-            "seed": self.seed,
         }
-        return d
 
 
 @dataclass

@@ -33,6 +33,7 @@ from .projections import project_simplex_rows
 from .solver import SolveTrace, default_init, solve, step_W
 
 _F_ABS_STOP = 1e-22
+_GAP_REL = 1e-6  # relative gap that counts as closed
 _GAP_ABS = 1e-9  # absolute gap that counts as closed when F is near zero
 _EVAL_F_TOL = 1e-10  # relative tolerance of the inner eval_F solves
 
@@ -74,10 +75,10 @@ class CutSet:
         self.cuts.append(cut)
         self.best_upper = min(self.best_upper, cut.value)
 
-    def closed(self, tol_gap: float) -> bool:
-        """Whether the bounds agree to ``tol_gap`` relative (or ``_GAP_ABS``)."""
+    def closed(self) -> bool:
+        """Whether the bounds agree to ``_GAP_REL`` relative (or ``_GAP_ABS``)."""
         return self.best_upper - self.best_lower <= max(
-            tol_gap * max(self.best_upper, 0.0), _GAP_ABS
+            _GAP_REL * max(self.best_upper, 0.0), _GAP_ABS
         )
 
 
@@ -360,7 +361,6 @@ class OaResult:
 def outer_approximation(
     X,
     cfg: SaaConfig,
-    tol_gap: float = 1e-6,
     max_rounds: int = 50,
     backend: BranchAndBound | None = None,
     time_budget: float | None = None,
@@ -374,8 +374,8 @@ def outer_approximation(
     with its inner minimizers, and ``rounds`` counts the patterns evaluated.
     Each evaluation warm-starts from the incumbent's minimizers.
     """
-    if tol_gap <= 0:
-        raise InvalidInputError("outer_approximation: tol_gap must be positive")
+    if max_rounds < 1:
+        raise InvalidInputError("outer_approximation: max_rounds must be at least 1")
     Xm = as_matrix(X, "X")
     k, ell = cfg.k, cfg.ell
     n = Xm.shape[1]
@@ -408,14 +408,14 @@ def outer_approximation(
         cutset.add(Cut(pattern=Z.copy(), value=val, grad=grad))
         if best is None or val < best[0]:
             best = (val, Z.copy(), Hs, Wts)
-        if cutset.closed(tol_gap):
+        if cutset.closed():
             converged = True
             break
         if time_budget is not None and time.monotonic() - started > time_budget:
             break
         Z, eta = milp_min_cuts(cutset, k, n, ell, backend=backend)
         cutset.best_lower = min(max(cutset.best_lower, eta), cutset.best_upper)
-        if cutset.closed(tol_gap):
+        if cutset.closed():
             converged = True
             break
 
@@ -435,10 +435,10 @@ def continuation(
     X,
     cfg: SaaConfig,
     oa: OaResult | None = None,
-    oa_kwargs: dict | None = None,
 ) -> tuple[Factorization, list[SolveTrace]]:
     """Warm-started solves along the decreasing penalty schedule, seeded by
-    the outer-approximation incumbent.
+    the outer-approximation incumbent ``oa``, which defaults to
+    ``outer_approximation(X, cfg)``.
 
     The initial W is one projected descent step from uniform rows against
     the incumbent archetypes.
@@ -448,11 +448,11 @@ def continuation(
     if any(v <= 0 for v in sched):
         raise InvalidInputError("continuation: schedule values must be positive")
     if oa is None:
-        oa = outer_approximation(Xm, cfg, **(oa_kwargs or {}))
+        oa = outer_approximation(Xm, cfg)
     m = Xm.shape[0]
     W = np.full((m, cfg.k), 1.0 / cfg.k)
     fac = Factorization(H=oa.H.copy(), W=W, Wt=oa.Wt.copy())
-    fac.W, _ = step_W(Xm, fac.H, fac.W, cfg.eps_safeguard)
+    fac.W, _ = step_W(Xm, fac.H, fac.W)
     traces: list[SolveTrace] = []
     for lam in sched:
         fac, trace = solve(Xm, fac, cfg, lam=lam)

@@ -49,6 +49,7 @@ from .core import (
 from .projections import _simplex_rows_raw, _topk_raw, _topk_threshold
 
 _OBJ_FLOOR = 1e-30
+_EPS_W = 1e-6  # floor on ||H||^2 in the W-step constant, for H = 0
 
 
 @dataclass(frozen=True)
@@ -141,11 +142,11 @@ def step_H(X, H, W, Wt, lam, ell, r1=None, wtx=None):
     return out, l1
 
 
-def step_W(X, H, W, eps):
+def step_W(X, H, W):
     """Projected descent step on W; the gradient does not involve ``lam``.
-    Returns ``(W1, L2)`` with ``L2 = 2 max(||H||^2, eps)``."""
+    Returns ``(W1, L2)`` with ``L2 = 2 max(||H||^2, _EPS_W)``."""
     sh = _spectral_norm_raw(H)
-    l2 = 2.0 * max(sh * sh, eps)
+    l2 = 2.0 * max(sh * sh, _EPS_W)
     return _simplex_rows_raw(W + ((X - W @ H) @ H.T) / l2), l2
 
 
@@ -172,13 +173,13 @@ def default_init(X, cfg: SaaConfig) -> Factorization:
     return Factorization(H=H, W=W, Wt=Wt)
 
 
-def _sweep_raw(X, H, W, Wt, lam, ell, eps, smax_x, r1=None, wtx=None):
+def _sweep_raw(X, H, W, Wt, lam, ell, smax_x, r1=None, wtx=None):
     """One H, W, Wt sweep; ``r1 = X - W H`` and ``wtx = Wt X`` of the input
     iterate are computed when not given."""
     if wtx is None:
         wtx = Wt @ X
     H1, l1 = step_H(X, H, W, Wt, lam, ell, r1, wtx)
-    W1, l2 = step_W(X, H1, W, eps)
+    W1, l2 = step_W(X, H1, W)
     Wt1, l3 = step_Wt(X, H1, Wt, lam, smax_x, wtx)
     return H1, W1, Wt1, (l1, l2, l3)
 
@@ -215,7 +216,7 @@ def solve(
         raise InvalidInputError("solve: initialization shape mismatch")
 
     smax_x = _spectral_norm_raw(Xm)
-    ell, eps = cfg.ell, cfg.eps_safeguard
+    ell = cfg.ell
     H, W, Wt = fac.H, fac.W, fac.Wt
     H_prev, W_prev, Wt_prev = H, W, Wt
     trace = SolveTrace()
@@ -236,13 +237,13 @@ def solve(
                 H + beta * (H - H_prev),
                 W + beta * (W - W_prev),
                 Wt + beta * (Wt - Wt_prev),
-                lam, ell, eps, smax_x,
+                lam, ell, smax_x,
             )
             new = _objective_raw(Xm, H1, W1, Wt1, lam)
             accepted = new[2] <= total
         if not accepted:
             # plain sweep from the current iterate; a rejection restarts momentum
-            H1, W1, Wt1, ls = _sweep_raw(Xm, H, W, Wt, lam, ell, eps, smax_x, r1, wtx)
+            H1, W1, Wt1, ls = _sweep_raw(Xm, H, W, Wt, lam, ell, smax_x, r1, wtx)
             new = _objective_raw(Xm, H1, W1, Wt1, lam)
             if beta > 0.0:
                 t_next = 1.0
@@ -294,9 +295,7 @@ def stationarity_residual(
         raise InvalidInputError("stationarity_residual: lam must be positive")
     if smax_x is None:
         smax_x = _spectral_norm_raw(Xm)
-    H1, W1, Wt1, (l1, _, _) = _sweep_raw(
-        Xm, fac.H, fac.W, fac.Wt, lam, cfg.ell, cfg.eps_safeguard, smax_x
-    )
+    H1, W1, Wt1, (l1, _, _) = _sweep_raw(Xm, fac.H, fac.W, fac.Wt, lam, cfg.ell, smax_x)
     residual = max(
         float(np.linalg.norm(H1 - fac.H)),
         float(np.linalg.norm(W1 - fac.W)),

@@ -218,6 +218,7 @@ def sweep_loop_oracle(X, cfg, lam: float, momentum: bool = True):
     """
     from sparse_aa.core import _spectral_norm_raw
     from sparse_aa.projections import _simplex_rows_raw
+    from sparse_aa.solver import _EPS_W
 
     def psi(H, W, Wt):
         r1 = X - W @ H
@@ -233,7 +234,7 @@ def sweep_loop_oracle(X, cfg, lam: float, momentum: bool = True):
         tie = bool(s.size > cfg.ell and s[cfg.ell] > 0.0 and s[cfg.ell - 1] == s[cfg.ell])
         H1, _ = topk_argsort_oracle(target, cfg.ell)
         sh = _spectral_norm_raw(H1)
-        l2 = 2.0 * max(sh * sh, cfg.eps_safeguard)
+        l2 = 2.0 * max(sh * sh, _EPS_W)
         W1 = _simplex_rows_raw(W + ((X - W @ H1) @ H1.T) / l2)
         l3 = 2.0 * lam * sx * sx
         Wt1 = _simplex_rows_raw(Wt + (lam / l3) * ((H1 - Wt @ X) @ X.T))

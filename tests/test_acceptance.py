@@ -68,7 +68,7 @@ def descent_runs():
     for seed in range(50):
         X, *_ = synth_instance(20, 10, 3, 0.1, seed=seed)
         cfg = SaaConfig(
-            k=3, ell=15, lam=1.0, tol_stationary=9e-7, max_iter=30_000, seed=seed
+            k=3, ell=15, lam=1.0, tol_stationary=9e-7, max_iter=30_000
         )
         fac, trace = solve(X, None, cfg)
         runs.append((X, cfg, fac, trace))
@@ -354,7 +354,7 @@ def test_criterion_7_robustness_inequalities():
             k=k, ell=ell, lam=sched, max_iter=6_000,
             tol_stationary=1e-7, tol_objective=1e-11,
         )
-        fac, _ = continuation(X, cfg, oa_kwargs={"max_rounds": 8})
+        fac, _ = continuation(X, cfg, oa=outer_approximation(X, cfg, max_rounds=8))
         fac, _, _ = local_search(X, fac, cfg, max_swaps=12)
         rep = robustness_report(H0, fac.H, X0, Z, ell)
         feas_gap = math.sqrt(hull_distance_rows(X, fac.H, tol=1e-12).max()) - rep.delta
@@ -417,11 +417,11 @@ def test_criterion_8_fixture_facts():
 # --------------------------------------------------------------------- 9
 
 
-def _fit_saa_sweep(X, k, ell, seed):
+def _fit_saa_sweep(X, k, ell):
     sched = tuple(np.geomspace(30.0, 1.0, 4))
     cfg = SaaConfig(
         k=k, ell=ell, lam=sched, max_iter=1_200,
-        tol_stationary=1e-4, tol_objective=1e-8, seed=seed,
+        tol_stationary=1e-4, tol_objective=1e-8,
     )
     oa = outer_approximation(
         X, cfg, max_rounds=3, inner_max_iter=4_000,
@@ -439,7 +439,7 @@ def test_criterion_9_trend_reproduction():
         ws, ss = [], []
         for seed in range(10):
             X, _, H0, _, _ = synth_instance(m, n, k, sigma, seed=seed)
-            fac = _fit_saa_sweep(X, k, n * k // 2, seed)
+            fac = _fit_saa_sweep(X, k, n * k // 2)
             ws.append(archetype_distance(H0, fac.H))
             ss.append(archetype_distance(fac.H, H0))
         noise_means["weak"].append(float(np.mean(ws)))
@@ -455,7 +455,7 @@ def test_criterion_9_trend_reproduction():
         ws, ss = [], []
         for seed in range(10):
             X, _, H0, _, _ = synth_instance(m, n, k, 0.1, seed=seed)
-            fac = _fit_saa_sweep(X, k, int(frac * n * k), seed)
+            fac = _fit_saa_sweep(X, k, int(frac * n * k))
             ws.append(archetype_distance(H0, fac.H))
             ss.append(archetype_distance(fac.H, H0))
         sparsity_means["weak"].append(float(np.mean(ws)))
@@ -492,11 +492,11 @@ def test_criterion_10_ablation_ordering():
         sched = tuple(np.geomspace(30.0, 1.0, 8))
         cfg = SaaConfig(
             k=k, ell=ell, lam=sched, max_iter=1_000,
-            tol_stationary=1e-4, tol_objective=1e-8, seed=seed,
+            tol_stationary=1e-4, tol_objective=1e-8,
         )
         cfg_zero = SaaConfig(
             k=k, ell=ell, lam=1.0, max_iter=1_000,
-            tol_stationary=1e-4, tol_objective=1e-8, seed=seed,
+            tol_stationary=1e-4, tol_objective=1e-8,
         )
         fac_z, _ = solve(X, zero_init(X, cfg_zero), cfg_zero)
         psi_zero = objective(X, fac_z, 1.0).total

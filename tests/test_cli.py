@@ -244,3 +244,47 @@ def test_fit_bad_numbers_are_invalid_input(synth_dir, tmp_path, capsys, lam, csv
     assert lines[0].startswith("error: ")
     assert mentions in lines[0]
     assert not out.exists()
+
+
+def test_fit_summary_config_is_the_estimator_and_solver_settings(synth_dir, tmp_path):
+    out = tmp_path / "cfg"
+    assert run(fit_args(synth_dir, out)) == 0
+    summary = read_json(out / "summary.json")
+    assert summary["schema"] == "sparse-aa-v2"
+    assert set(summary["config"]) == {
+        "k", "ell", "lambda", "tol_objective", "tol_stationary", "max_iter"
+    }
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--seed", 1), ("--eps-safeguard", 1e-6), ("--oa-tol-gap", 1e-6)],
+)
+def test_fit_rejects_removed_flags(synth_dir, tmp_path, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        run(fit_args(synth_dir, tmp_path / "o") + [flag, value])
+    assert exc.value.code == 2
+
+
+def test_fit_oa_rounds_zero_is_invalid_input(synth_dir, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run(fit_args(synth_dir, out, **{"--oa-rounds": 0})) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and "max_rounds" in lines[0]
+    assert not out.exists()
+
+
+def test_eval_non_integer_label_is_invalid_input(synth_dir, tmp_path, capsys):
+    fit = tmp_path / "f"
+    assert run(fit_args(synth_dir, fit)) == 0
+    capsys.readouterr()
+    labels = tmp_path / "labels.txt"
+    labels.write_text("0\n1\nx\n")
+    out = tmp_path / "ev"
+    rc = run(["eval", "--truth", synth_dir, "--fit", fit, "--labels", labels, "--out", out])
+    assert rc == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and "labels.txt" in lines[0]
+    assert not out.exists()

@@ -334,7 +334,7 @@ def test_continuation_schedule_length_one_equals_mip_plus_solve():
 
     W = np.full((10, 2), 0.5)
     seeded = Factorization(H=oa.H.copy(), W=W, Wt=oa.Wt.copy())
-    seeded.W, _ = step_W(X, seeded.H, seeded.W, cfg1.eps_safeguard)
+    seeded.W, _ = step_W(X, seeded.H, seeded.W)
     fac_b, _ = solve(X, seeded, cfg1, lam=1.0)
     np.testing.assert_array_equal(fac_a.H, fac_b.H)
     np.testing.assert_array_equal(fac_a.W, fac_b.W)
@@ -349,7 +349,7 @@ def test_continuation_default_schedule_beats_zero_init_majority():
         cfg = SaaConfig(
             k=3, ell=12, lam=sched, max_iter=1_500, tol_stationary=1e-4
         )
-        fac_saa, _ = continuation(X, cfg, oa_kwargs={"max_rounds": 4})
+        fac_saa, _ = continuation(X, cfg, oa=outer_approximation(X, cfg, max_rounds=4))
         psi_saa = objective(X, fac_saa, 1.0).total
 
         cfg_zero = SaaConfig(
@@ -366,7 +366,7 @@ def test_continuation_output_feasible():
     X, *_ = synth_instance(12, 6, 2, 0.15, seed=40)
     sched = tuple(np.geomspace(30.0, 1.0, 4))
     cfg = SaaConfig(k=2, ell=6, lam=sched, max_iter=1_000, tol_stationary=1e-4)
-    fac, traces = continuation(X, cfg, oa_kwargs={"max_rounds": 3})
+    fac, traces = continuation(X, cfg, oa=outer_approximation(X, cfg, max_rounds=3))
     fac.validate(cfg.ell)
     assert len(traces) == 4
     assert nnz(fac.H, 0.0) <= cfg.ell
@@ -439,3 +439,10 @@ def test_oa_exit_time_budget_zero():
     assert res.rounds == len(res.cutset.cuts) == 1
     assert backend.solutions == []
     assert res.cutset.best_lower == 0.0
+
+
+@pytest.mark.parametrize("max_rounds", [0, -1])
+def test_oa_rejects_max_rounds_below_one(max_rounds):
+    X, cfg = oa_exit_instance()
+    with pytest.raises(InvalidInputError, match="max_rounds"):
+        outer_approximation(X, cfg, max_rounds=max_rounds)

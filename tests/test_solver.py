@@ -12,8 +12,9 @@ from sparse_aa import (
     stationarity_residual,
     synth_instance,
 )
-from sparse_aa.mip_init import continuation
+from sparse_aa.mip_init import continuation, outer_approximation
 from sparse_aa.solver import (
+    _EPS_W,
     default_init,
     grad_H,
     grad_W,
@@ -88,7 +89,7 @@ def test_first_step_sizes_are_quarter_inverse_lipschitz(zero_x):
     fac0 = default_init(X, cfg)
     fac, trace = solve(X, fac0, cfg)
     s1, s2, s3 = trace.step_sizes[0]
-    lam, eps = cfg.final_lambda, cfg.eps_safeguard
+    lam, eps = cfg.final_lambda, _EPS_W
     assert s1 == pytest.approx(1.0 / (4.0 * (lam + spectral_norm(fac0.W) ** 2)), rel=1e-12)
     assert s2 == pytest.approx(1.0 / (4.0 * max(spectral_norm(fac.H) ** 2, eps)), rel=1e-12)
     if zero_x:
@@ -152,12 +153,12 @@ def test_step_H_fixed_point_and_feasibility():
 def test_step_W_descends_and_fixed_point():
     rng = np.random.default_rng(2)
     X, fac = exact_point(rng)
-    np.testing.assert_allclose(step_W(X, fac.H, fac.W, 1e-6)[0], fac.W, atol=1e-9)
+    np.testing.assert_allclose(step_W(X, fac.H, fac.W)[0], fac.W, atol=1e-9)
 
     fac2 = random_feasible(rng)
     X2 = rng.uniform(size=(5, 4))
     before = objective(X2, fac2, 1.0)
-    W_new, _ = step_W(X2, fac2.H, fac2.W, 1e-6)
+    W_new, _ = step_W(X2, fac2.H, fac2.W)
     after = objective(X2, Factorization(H=fac2.H, W=W_new, Wt=fac2.Wt), 1.0)
     assert after.fit <= before.fit + 1e-12
     if np.linalg.norm(grad_W(X2, fac2)) > 1e-8:
@@ -258,7 +259,7 @@ def test_every_iterate_feasible():
     H, W, Wt = fac.H, fac.W, fac.Wt
     sx = spectral_norm(X)
     for _ in range(40):
-        H, W, Wt, _ = _sweep_raw(X, H, W, Wt, 1.0, cfg.ell, 1e-6, sx)
+        H, W, Wt, _ = _sweep_raw(X, H, W, Wt, 1.0, cfg.ell, sx)
         Factorization(H=H, W=W, Wt=Wt).validate(cfg.ell)
 
 
@@ -332,7 +333,7 @@ def test_first_sweep_is_the_plain_sweep():
     fac0 = default_init(X, cfg)
     fac, trace = solve(X, fac0, cfg)
     H, W, Wt, (l1, l2, l3) = _sweep_raw(
-        X, fac0.H, fac0.W, fac0.Wt, 2.0, cfg.ell, cfg.eps_safeguard, spectral_norm(X)
+        X, fac0.H, fac0.W, fac0.Wt, 2.0, cfg.ell, spectral_norm(X)
     )
     assert trace.iterations == 1
     assert trace.step_sizes == [(0.5 / l1, 0.5 / l2, 0.5 / l3)]
@@ -384,10 +385,10 @@ def test_continuation_edge_cases(name):
     if ell > k * X.shape[1]:
         # the initializer's pattern enumeration rejects a budget past k*n
         with pytest.raises(InvalidInputError):
-            continuation(X, cfg, oa_kwargs={"max_rounds": 2})
+            continuation(X, cfg, oa=outer_approximation(X, cfg, max_rounds=2))
         return
-    fac, traces = continuation(X, cfg, oa_kwargs={"max_rounds": 2})
-    fac2, traces2 = continuation(X, cfg, oa_kwargs={"max_rounds": 2})
+    fac, traces = continuation(X, cfg, oa=outer_approximation(X, cfg, max_rounds=2))
+    fac2, traces2 = continuation(X, cfg, oa=outer_approximation(X, cfg, max_rounds=2))
     assert len(traces) == 3
     assert_same_solve((fac, traces[-1]), (fac2, traces2[-1]))
     fac.validate(ell)
