@@ -103,11 +103,11 @@ def _write_swaps_csv(path: Path, swaps) -> None:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     X, X0, H0, W0, Z = synth_instance(
         args.m, args.n, args.k, args.sigma_z, args.zero_frac, args.seed
     )
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     for name, mat in [("X", X), ("X0", X0), ("H0", H0), ("W0", W0), ("Z", Z)]:
         write_matrix_csv(out / f"{name}.csv", mat)
     manifest = {

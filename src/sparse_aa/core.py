@@ -141,17 +141,20 @@ class SaaConfig:
             raise InvalidInputError("SaaConfig: ell must be a positive integer")
         if self.ell < self.k:
             warnings.warn(
-                "ell < k: some archetype rows are forced to zero", stacklevel=2
+                "ell < k: some archetype rows are forced to zero", stacklevel=3
             )
         sched = self.lambda_schedule
-        if any(v < 0 for v in sched):
-            raise InvalidInputError("SaaConfig: lambda values must be nonnegative")
+        if not all(0 <= v < math.inf for v in sched):
+            raise InvalidInputError(
+                "SaaConfig: lambda values must be finite and nonnegative"
+            )
         if len(sched) > 1 and any(b >= a for a, b in zip(sched, sched[1:])):
             raise InvalidInputError(
                 "SaaConfig: lambda schedule must be strictly decreasing"
             )
-        if self.tol_objective <= 0 or self.tol_stationary <= 0:
-            raise InvalidInputError("SaaConfig: tolerances must be positive")
+        tols = (self.tol_objective, self.tol_stationary)
+        if not all(0 < tol < math.inf for tol in tols):
+            raise InvalidInputError("SaaConfig: tolerances must be finite and positive")
         if self.max_iter < 1:
             raise InvalidInputError("SaaConfig: max_iter must be positive")
 

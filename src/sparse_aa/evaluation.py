@@ -252,6 +252,8 @@ def synth_instance(
 
     ``Z`` is returned pre-clipping.  Deterministic for a given seed.
     """
+    if min(m, n, k) < 1:
+        raise InvalidInputError("synth_instance: m, n and k must be at least 1")
     if not 0.0 <= zero_frac < 1.0:
         raise InvalidInputError("synth_instance: zero_frac must be in [0, 1)")
     if sigma_z < 0:

@@ -56,9 +56,6 @@ class Cut:
 class CutSet:
     """Accumulated cuts with the incumbent bounds of the outer loop."""
 
-    k: int
-    n: int
-    ell: int
     cuts: list[Cut] = field(default_factory=list)
     best_upper: float = math.inf
     best_lower: float = 0.0
@@ -198,6 +195,8 @@ class BranchAndBound:
     """
 
     def __init__(self, node_cap: int | None = None):
+        if node_cap is not None and node_cap < 0:
+            raise InvalidInputError("BranchAndBound: node_cap must be nonnegative")
         self.node_cap = node_cap
 
     def minimize_cuts(self, offsets, grads, shape, ell) -> MilpSolution:
@@ -349,7 +348,6 @@ def milp_min_cuts(
 class OaResult:
     """Incumbent of the outer-approximation loop."""
 
-    Z: np.ndarray
     H: np.ndarray
     Wt: np.ndarray
     value: float
@@ -376,6 +374,8 @@ def outer_approximation(
     """
     if max_rounds < 1:
         raise InvalidInputError("outer_approximation: max_rounds must be at least 1")
+    if time_budget is not None and not time_budget >= 0:
+        raise InvalidInputError("outer_approximation: time_budget must be nonnegative")
     Xm = as_matrix(X, "X")
     k, ell = cfg.k, cfg.ell
     n = Xm.shape[1]
@@ -389,8 +389,8 @@ def outer_approximation(
 
     Z = (default_init(Xm, cfg).H > 0.0).astype(np.float64)
 
-    cutset = CutSet(k=k, n=n, ell=ell)
-    best = None  # (value, Z, H, Wt)
+    cutset = CutSet()
+    best = None  # (value, H, Wt)
     seen: set[bytes] = set()
     started = time.monotonic()
     converged = False
@@ -400,14 +400,14 @@ def outer_approximation(
             converged = True
             break
         seen.add(key)
-        h0, wt0 = (None, None) if best is None else best[2:]
+        h0, wt0 = (None, None) if best is None else best[1:]
         val, Hs, Wts = eval_F(
             Z, Xm, b, ell, tol=_EVAL_F_TOL, max_iter=inner_max_iter, h0=h0, wt0=wt0
         )
         grad = subgradient_F(Hs, Wts, Xm, b)
         cutset.add(Cut(pattern=Z.copy(), value=val, grad=grad))
         if best is None or val < best[0]:
-            best = (val, Z.copy(), Hs, Wts)
+            best = (val, Hs, Wts)
         if cutset.closed():
             converged = True
             break
@@ -421,9 +421,8 @@ def outer_approximation(
 
     assert best is not None
     return OaResult(
-        Z=best[1],
-        H=best[2],
-        Wt=best[3],
+        H=best[1],
+        Wt=best[2],
         value=best[0],
         cutset=cutset,
         rounds=len(cutset.cuts),

@@ -275,6 +275,42 @@ def test_fit_oa_rounds_zero_is_invalid_input(synth_dir, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flag, value, mentions",
+    [
+        ("--oa-node-cap", -1, "node_cap"),
+        ("--max-swaps", -1, "max_swaps"),
+        ("--time-budget", -1, "time_budget"),
+        ("--time-budget", "nan", "time_budget"),
+        ("--tol-objective", "nan", "tolerances"),
+        ("--tol-stationary", "inf", "tolerances"),
+    ],
+)
+def test_fit_bad_budgets_and_tolerances_are_invalid_input(
+    synth_dir, tmp_path, capsys, flag, value, mentions
+):
+    out = tmp_path / "o"
+    rc = run(fit_args(synth_dir, out, **{"--local-search": "on", flag: value}))
+    assert rc == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and mentions in lines[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--m", "--n", "--k"])
+def test_synth_empty_shape_is_invalid_input(tmp_path, capsys, flag):
+    args = {"--m": 8, "--n": 5, "--k": 2}
+    args[flag] = 0
+    out = tmp_path / "s"
+    cmd = ["synth", "--out", out]
+    for key, val in args.items():
+        cmd += [key, val]
+    assert run(cmd) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_eval_non_integer_label_is_invalid_input(synth_dir, tmp_path, capsys):
     fit = tmp_path / "f"
     assert run(fit_args(synth_dir, fit)) == 0

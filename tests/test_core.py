@@ -91,6 +91,30 @@ def test_config_validation():
     assert cfg.lambda_schedule == (30.0, 10.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("tol_objective", float("nan")),
+        ("tol_objective", float("inf")),
+        ("tol_stationary", float("nan")),
+        ("tol_stationary", float("inf")),
+        ("lam", float("nan")),
+        ("lam", float("inf")),
+        ("lam", (float("inf"), 1.0)),
+        ("lam", (2.0, float("nan"))),
+    ],
+)
+def test_config_rejects_non_finite_values(field, value):
+    with pytest.raises(InvalidInputError, match="finite"):
+        SaaConfig(k=2, ell=4, **{field: value})
+
+
+def test_config_ell_below_k_warning_names_the_caller():
+    with pytest.warns(UserWarning, match="ell < k") as record:
+        SaaConfig(k=5, ell=2)
+    assert record[0].filename == __file__
+
+
 def test_factorization_validation():
     H = np.array([[1.0, 0.0]])
     W = np.array([[0.4, 0.6], [0.5, 0.5]])

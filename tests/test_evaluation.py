@@ -230,3 +230,9 @@ def test_synth_instance_validation():
         synth_instance(5, 5, 2, -0.1)
     with pytest.raises(InvalidInputError):
         synth_instance(5, 5, 2, 0.1, zero_frac=1.0)
+
+
+@pytest.mark.parametrize("m, n, k", [(0, 5, 2), (5, 0, 2), (5, 5, 0)])
+def test_synth_instance_rejects_empty_shapes(m, n, k):
+    with pytest.raises(InvalidInputError, match="at least 1"):
+        synth_instance(m, n, k, 0.1)

@@ -140,7 +140,7 @@ def test_swap_refit_self_swap_is_noop_up_to_refit():
     out.validate(cfg.ell)
 
 
-def test_swap_refit_inner_objective_non_increasing():
+def test_swap_refit_one_pass_does_not_raise_objective():
     rng = np.random.default_rng(6)
     m, k, n = 6, 2, 4
     X = rng.uniform(size=(m, n))
@@ -149,10 +149,26 @@ def test_swap_refit_inner_objective_non_increasing():
     leaving = select_leaving(fac.H)
     entering = select_entering(X, fac, lam)
     stats = {}
-    swap_refit(X, fac, lam, leaving, entering, stats=stats)
-    objs = stats["objectives"]
-    assert len(objs) >= 1
-    assert all(b <= a + 1e-9 for a, b in zip(objs, objs[1:]))
+    out, psi = swap_refit(X, fac, lam, leaving, entering, stats=stats)
+    assert stats["alternations"] == 1
+    assert psi == objective(X, out, lam).total
+    # the refit starts from the caller's weights with the leaving entry dropped
+    H_minus = fac.H.copy()
+    H_minus[leaving] = 0.0
+    start = objective(X, Factorization(H=H_minus, W=fac.W, Wt=fac.Wt), lam).total
+    assert psi <= start + 1e-9
+
+
+def test_local_search_max_swaps_bounds():
+    rng = np.random.default_rng(9)
+    X = rng.uniform(size=(6, 4))
+    fac = feasible_fac(rng, ell=5)
+    cfg = SaaConfig(k=2, ell=5, lam=1.0)
+    with pytest.raises(InvalidInputError, match="max_swaps"):
+        local_search(X, fac, cfg, max_swaps=-1)
+    out, n_swaps, log = local_search(X, fac, cfg, max_swaps=0)
+    assert (n_swaps, log) == (0, [])
+    assert np.array_equal(out.H, fac.H)
 
 
 def test_swap_refit_warm_start_reduces_iterations():

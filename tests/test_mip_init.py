@@ -441,6 +441,19 @@ def test_oa_exit_time_budget_zero():
     assert res.cutset.best_lower == 0.0
 
 
+@pytest.mark.parametrize("time_budget", [-1.0, float("nan")])
+def test_oa_rejects_negative_or_nan_time_budget(time_budget):
+    X, cfg = oa_exit_instance()
+    with pytest.raises(InvalidInputError, match="time_budget"):
+        outer_approximation(X, cfg, time_budget=time_budget)
+
+
+def test_branch_and_bound_rejects_negative_node_cap():
+    with pytest.raises(InvalidInputError, match="node_cap"):
+        BranchAndBound(node_cap=-1)
+    assert BranchAndBound(node_cap=0).node_cap == 0
+
+
 @pytest.mark.parametrize("max_rounds", [0, -1])
 def test_oa_rejects_max_rounds_below_one(max_rounds):
     X, cfg = oa_exit_instance()
