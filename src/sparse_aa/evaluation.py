@@ -256,8 +256,10 @@ def synth_instance(
         raise InvalidInputError("synth_instance: m, n and k must be at least 1")
     if not 0.0 <= zero_frac < 1.0:
         raise InvalidInputError("synth_instance: zero_frac must be in [0, 1)")
-    if sigma_z < 0:
-        raise InvalidInputError("synth_instance: sigma_z must be nonnegative")
+    if not 0.0 <= sigma_z < math.inf:
+        raise InvalidInputError("synth_instance: sigma_z must be finite and nonnegative")
+    if seed < 0:
+        raise InvalidInputError("synth_instance: seed must be nonnegative")
     rng = np.random.default_rng(seed)
     H0 = rng.uniform(size=(k, n))
     n_zero = int(math.ceil(zero_frac * k * n))

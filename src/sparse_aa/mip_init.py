@@ -10,7 +10,9 @@ Z (H box-constrained entrywise to [0, sqrt(b) Z]), ``subgradient_F``
 produces a valid cut from the inner minimizers, and ``outer_approximation``
 alternates evaluation with an exact cut-based master problem.  The master
 is a small MILP solved by ``BranchAndBound``, an exact depth-first search
-that an optional node cap turns into a bounded one.
+that an optional node cap turns into a bounded one.  A master whose pattern
+would never be evaluated, because the round limit ends the loop, runs only
+when its bound might still raise the certified lower bound.
 """
 
 from __future__ import annotations
@@ -192,6 +194,12 @@ class BranchAndBound:
     change any cut and the tie-break prefers sparser patterns.  With
     ``node_cap`` set, the search may stop early and returns the best global
     lower bound instead of a certificate.
+
+    The summed gradients never change and both children drop the branching
+    variable, so the free set of a node depends only on its depth: the
+    branching order is sorted once (stably, which keeps the first-maximum
+    rule), and each greedy bound sum is computed once per (depth, remaining
+    budget) within a call.
     """
 
     def __init__(self, node_cap: int | None = None):
@@ -213,43 +221,39 @@ class BranchAndBound:
         budget = int(min(ell, N))
 
         impact = -G.sum(axis=0)
-        active = impact > 0.0  # zero-impact variables are fixed to 0
+        free0 = _free_variables(G)
+        # the node at depth d has order[d:] free; bounds and completions read
+        # that set in ascending index order, as free0 lists it
+        perm = np.argsort(-impact[free0], kind="stable")
+        order = free0[perm]
+        rank = np.empty(free0.size, dtype=np.intp)
+        rank[perm] = np.arange(free0.size)
+        n_free = free0.size
 
-        def leaf_value(ones: np.ndarray) -> float:
-            return float(np.max(offs + G[:, ones].sum(axis=1)))
+        def free_at(depth: int) -> np.ndarray:
+            return free0[rank >= depth]
 
-        def node_bound(base: np.ndarray, free_idx: np.ndarray, room: int) -> float:
+        sums: dict[tuple[int, int], np.ndarray] = {}
+
+        def node_bound(base: np.ndarray, depth: int, room: int) -> float:
             # base[i] = offs[i] + sum of G_i over the fixed ones
-            if room <= 0 or free_idx.size == 0:
+            if room <= 0 or depth == n_free:
                 return float(base.max())
-            sub = G[:, free_idx]
-            if free_idx.size > room:
-                sub = np.partition(sub, room - 1, axis=1)[:, :room]
-            return float((base + np.minimum(sub, 0.0).sum(axis=1)).max())
-
-        def greedy_completion(
-            fixed1: np.ndarray, free_idx: np.ndarray, room: int, i: int
-        ) -> np.ndarray:
-            ones = fixed1.copy()
-            if room > 0 and free_idx.size:
-                vals = G[i, free_idx]
+            S = sums.get((depth, room))
+            if S is None:
+                free_idx = free_at(depth)
+                sub = G[:, free_idx]
                 if free_idx.size > room:
-                    pick = np.argpartition(vals, room - 1)[:room]
-                else:
-                    pick = np.arange(free_idx.size)
-                take = free_idx[pick[vals[pick] < 0.0]]
-                ones[take] = True
-            return ones
+                    sub = np.partition(sub, room - 1, axis=1)[:, :room]
+                S = sums[depth, room] = np.minimum(sub, 0.0).sum(axis=1)
+            return float((base + S).max())
 
-        fixed1 = np.zeros(N, dtype=bool)
-        free0 = np.flatnonzero(active)
-        base0 = offs.copy()
         best_val = math.inf
         best_ones: np.ndarray | None = None
 
         def consider(ones: np.ndarray) -> None:
             nonlocal best_val, best_ones
-            val = leaf_value(ones)
+            val = _leaf_value(offs, G, ones)
             if val < best_val or (
                 val == best_val
                 and best_ones is not None
@@ -258,13 +262,13 @@ class BranchAndBound:
                 best_val = val
                 best_ones = ones.copy()
 
-        for i in range(len(offs)):
-            consider(greedy_completion(fixed1, free0, budget, i))
-        consider(fixed1)  # the all-zeros pattern is always feasible
+        for ones in _start_patterns(G, free0, budget):
+            consider(ones)
 
-        root_bound = node_bound(base0, free0, budget)
-        stack: list[tuple[float, np.ndarray, np.ndarray, np.ndarray, int]] = [
-            (root_bound, fixed1, free0, base0, budget)
+        fixed1 = np.zeros(N, dtype=bool)
+        base0 = offs.copy()
+        stack: list[tuple[float, np.ndarray, int, np.ndarray, int]] = [
+            (node_bound(base0, 0, budget), fixed1, 0, base0, budget)
         ]
         nodes = 0
         open_bounds_min = math.inf
@@ -274,7 +278,7 @@ class BranchAndBound:
                 capped = True
                 open_bounds_min = min([open_bounds_min] + [s[0] for s in stack])
                 break
-            bound, f1, free_idx, base, room = stack.pop()
+            bound, f1, depth, base, room = stack.pop()
             nodes += 1
             if bound > best_val:
                 continue
@@ -282,30 +286,32 @@ class BranchAndBound:
             # lead to a pattern lexicographically smaller than the incumbent
             if bound == best_val and not _lex_smaller(f1, best_ones):
                 continue
-            if free_idx.size == 0 or room == 0:
+            if depth == n_free or room == 0:
                 consider(f1)
                 continue
             # branch on the free variable with largest absolute summed gradient
-            pos = int(np.argmax(impact[free_idx]))
-            j = int(free_idx[pos])
-            free_c = np.delete(free_idx, pos)
+            j = int(order[depth])
             f1_one = f1.copy()
             f1_one[j] = True
             base_one = base + G[:, j]
             room_one = room - 1
-            consider(greedy_completion(f1_one, free_c, room_one, int(np.argmax(base_one))))
+            consider(
+                _greedy_completion(
+                    G, f1_one, free_at(depth + 1), room_one, int(base_one.argmax())
+                )
+            )
             children = [
-                (node_bound(base, free_c, room), f1, free_c, base, room, 0),
-                (node_bound(base_one, free_c, room_one), f1_one, free_c, base_one, room_one, 1),
+                (node_bound(base, depth + 1, room), f1, base, room, 0),
+                (node_bound(base_one, depth + 1, room_one), f1_one, base_one, room_one, 1),
             ]
             # pop order is LIFO: push the worse-bound child first (ties: the
             # one-child first so the zero-child is explored first)
-            children.sort(key=lambda c: (-c[0], -c[5]))
-            for bc, f1c, freec, basec, roomc, _ in children:
+            children.sort(key=lambda c: (-c[0], -c[4]))
+            for bc, f1c, basec, roomc, _ in children:
                 if bc < best_val or (
                     bc == best_val and _lex_smaller(f1c, best_ones)
                 ):
-                    stack.append((bc, f1c, freec, basec, roomc))
+                    stack.append((bc, f1c, depth + 1, basec, roomc))
 
         assert best_ones is not None
         eta = best_val if not capped else min(best_val, open_bounds_min)
@@ -314,6 +320,41 @@ class BranchAndBound:
         return MilpSolution(
             Z=Z.reshape(k, n), eta=float(eta), optimal=not capped, nodes=nodes
         )
+
+
+def _free_variables(G: np.ndarray) -> np.ndarray:
+    """Ascending indices of the variables some cut can lower; the rest are
+    fixed to zero."""
+    return np.flatnonzero(-G.sum(axis=0) > 0.0)
+
+
+def _leaf_value(offs: np.ndarray, G: np.ndarray, ones: np.ndarray) -> float:
+    """Cut-model value of the pattern whose ones are the mask ``ones``."""
+    return float((offs + G[:, ones].sum(axis=1)).max())
+
+
+def _greedy_completion(
+    G: np.ndarray, fixed1: np.ndarray, free_idx: np.ndarray, room: int, i: int
+) -> np.ndarray:
+    """``fixed1`` plus the up-to-``room`` most negative free gradients of cut ``i``."""
+    ones = fixed1.copy()
+    if room > 0 and free_idx.size:
+        vals = G[i, free_idx]
+        if free_idx.size > room:
+            pick = vals.argpartition(room - 1)[:room]
+        else:
+            pick = np.arange(free_idx.size)
+        take = free_idx[pick[vals[pick] < 0.0]]
+        ones[take] = True
+    return ones
+
+
+def _start_patterns(G: np.ndarray, free0: np.ndarray, budget: int) -> list[np.ndarray]:
+    """The incumbents the search starts from: each cut's greedy pattern over
+    the free variables, then the all-zeros pattern, which is always feasible."""
+    zeros = np.zeros(G.shape[1], dtype=bool)
+    greedy = [_greedy_completion(G, zeros, free0, budget, i) for i in range(len(G))]
+    return greedy + [zeros]
 
 
 def _lex_smaller(a: np.ndarray, b: np.ndarray) -> bool:
@@ -338,10 +379,31 @@ def milp_min_cuts(
         raise InvalidInputError("milp_min_cuts: cut set is empty")
     if backend is None:
         backend = BranchAndBound()
-    offsets = [c.offset for c in cut_list]
-    grads = np.stack([c.grad.ravel() for c in cut_list])
-    sol = backend.minimize_cuts(offsets, grads, (k, n), ell)
+    sol = backend.minimize_cuts(*_cut_arrays(cut_list), (k, n), ell)
     return sol.Z, sol.eta
+
+
+def _cut_arrays(cut_list: list[Cut]) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets and stacked flat gradients of the cut model."""
+    offsets = np.array([c.offset for c in cut_list], dtype=np.float64)
+    return offsets, np.stack([c.grad.ravel() for c in cut_list])
+
+
+def _master_cannot_lift(cutset: CutSet, ell: int) -> bool:
+    """Whether no master solve can raise ``cutset.best_lower``.
+
+    A master's ``eta`` is at most the model value of every pattern its
+    search starts from, so when the smallest of those values is already
+    at or below the bound, ``eta`` is too.  The values use the search's own
+    arithmetic, so the test is exact in floating point.
+    """
+    offs, G = _cut_arrays(cutset.cuts)
+    budget = int(min(ell, G.shape[1]))
+    start = min(
+        _leaf_value(offs, G, ones)
+        for ones in _start_patterns(G, _free_variables(G), budget)
+    )
+    return start <= cutset.best_lower
 
 
 @dataclass
@@ -371,6 +433,14 @@ def outer_approximation(
     the returned incumbent is the best pattern evaluated so far together
     with its inner minimizers, and ``rounds`` counts the patterns evaluated.
     Each evaluation warm-starts from the incumbent's minimizers.
+
+    In the round that ``max_rounds`` ends, only the master's bound can
+    matter.  That bound is at most the model value of every pattern the
+    master's search starts from (each cut's greedy pattern and all zeros),
+    so when the smallest of those is at or below the current lower bound
+    the master is skipped: the certificate that it could not raise the
+    bound is computed with the search's own arithmetic, and every returned
+    field is what running it would give.
     """
     if max_rounds < 1:
         raise InvalidInputError("outer_approximation: max_rounds must be at least 1")
@@ -394,7 +464,7 @@ def outer_approximation(
     seen: set[bytes] = set()
     started = time.monotonic()
     converged = False
-    for _ in range(max_rounds):
+    for r in range(max_rounds):
         key = Z.astype(np.int8).tobytes()
         if key in seen:
             converged = True
@@ -412,6 +482,10 @@ def outer_approximation(
             converged = True
             break
         if time_budget is not None and time.monotonic() - started > time_budget:
+            break
+        # the last master's pattern is never evaluated, so it runs only when
+        # its eta might still raise the bound
+        if r == max_rounds - 1 and _master_cannot_lift(cutset, ell):
             break
         Z, eta = milp_min_cuts(cutset, k, n, ell, backend=backend)
         cutset.best_lower = min(max(cutset.best_lower, eta), cutset.best_upper)

@@ -6,6 +6,8 @@ thresholding.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .core import InvalidInputError, as_matrix
@@ -24,15 +26,24 @@ def project_simplex_rows(a) -> np.ndarray:
     return _simplex_rows_raw(A)
 
 
+@functools.lru_cache(maxsize=64)
+def _counts(d: int) -> np.ndarray:
+    """1, 2, ..., d as read-only floats."""
+    counts = np.arange(1, d + 1, dtype=np.float64)
+    counts.flags.writeable = False
+    return counts
+
+
 def _simplex_rows_raw(A: np.ndarray) -> np.ndarray:
+    m, d = A.shape
     s = np.sort(A, axis=1)[:, ::-1]
-    css = np.cumsum(s, axis=1) - 1.0
-    counts = np.arange(1, A.shape[1] + 1, dtype=np.float64)
-    above = s - css / counts > 0
-    # first column is always above: s_1 - (s_1 - 1) = 1 > 0
-    rho = A.shape[1] - 1 - np.argmax(above[:, ::-1], axis=1)
-    theta = css[np.arange(A.shape[0]), rho] / (rho + 1.0)
-    return np.maximum(A - theta[:, None], 0.0)
+    css = np.cumsum(s, axis=1)
+    css -= 1.0
+    ratio = np.divide(css, _counts(d), out=css)  # candidate thresholds
+    # the first column is above (s_1 > s_1 - 1) unless s_1 - 1 rounds to s_1
+    rho = d - 1 - np.argmax((s > ratio)[:, ::-1], axis=1)
+    out = A - ratio[np.arange(m), rho][:, None]
+    return np.maximum(out, 0.0, out=out)
 
 
 def project_sparse(a, ell: int) -> np.ndarray:

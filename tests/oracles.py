@@ -7,7 +7,9 @@ enumeration for the cut MILP, central finite differences for gradients,
 and golden-section search for the one-dimensional refit.  The top-ell and
 sweep-loop oracles write the solver's work out the long way (a full stable
 argsort; every residual recomputed, no residual carried between sweeps) as
-references for bit-identity tests.
+references for bit-identity tests, as do the row-simplex and cut-master
+branch-and-bound oracles (the textbook threshold formula; a free set and
+bound sums rebuilt at every node).
 """
 
 import itertools
@@ -73,6 +75,102 @@ def hull_qp_oracle(x: np.ndarray, X: np.ndarray) -> float:
             resid = alpha @ Xs - x
             best = min(best, float(resid @ resid))
     return best
+
+
+def branch_and_bound_oracle(offsets, grads, shape, ell, node_cap=None):
+    """The cut-master branch-and-bound written out with no per-depth reuse.
+
+    Every node carries its own free index set, picks the branching variable
+    by an argmax over the free summed gradients and deletes it for its
+    children, and every node bound sums its greedy gradients afresh.
+    Returns ``(Z, eta, optimal, nodes)``.
+    """
+    k, n = shape
+    offs = np.asarray(offsets, dtype=np.float64)
+    G = np.asarray(grads, dtype=np.float64).reshape(len(offs), k * n)
+    N = k * n
+    budget = int(min(ell, N))
+    impact = -G.sum(axis=0)
+
+    def lex_smaller(a, b):
+        diff = a != b
+        return bool(diff.any()) and not a[int(np.argmax(diff))]
+
+    def leaf_value(ones):
+        return float(np.max(offs + G[:, ones].sum(axis=1)))
+
+    def node_bound(base, free_idx, room):
+        if room <= 0 or free_idx.size == 0:
+            return float(base.max())
+        sub = G[:, free_idx]
+        if free_idx.size > room:
+            sub = np.partition(sub, room - 1, axis=1)[:, :room]
+        return float((base + np.minimum(sub, 0.0).sum(axis=1)).max())
+
+    def greedy_completion(fixed1, free_idx, room, i):
+        ones = fixed1.copy()
+        if room > 0 and free_idx.size:
+            vals = G[i, free_idx]
+            if free_idx.size > room:
+                pick = np.argpartition(vals, room - 1)[:room]
+            else:
+                pick = np.arange(free_idx.size)
+            ones[free_idx[pick[vals[pick] < 0.0]]] = True
+        return ones
+
+    fixed1 = np.zeros(N, dtype=bool)
+    free0 = np.flatnonzero(impact > 0.0)
+    best = [math.inf, None]
+
+    def consider(ones):
+        val = leaf_value(ones)
+        if val < best[0] or (
+            val == best[0] and best[1] is not None and lex_smaller(ones, best[1])
+        ):
+            best[0], best[1] = val, ones.copy()
+
+    for i in range(len(offs)):
+        consider(greedy_completion(fixed1, free0, budget, i))
+    consider(fixed1)
+
+    stack = [(node_bound(offs, free0, budget), fixed1, free0, offs.copy(), budget)]
+    nodes = 0
+    open_min = math.inf
+    capped = False
+    while stack:
+        if node_cap is not None and nodes >= node_cap:
+            capped = True
+            open_min = min([open_min] + [s[0] for s in stack])
+            break
+        bound, f1, free_idx, base, room = stack.pop()
+        nodes += 1
+        if bound > best[0]:
+            continue
+        if bound == best[0] and not lex_smaller(f1, best[1]):
+            continue
+        if free_idx.size == 0 or room == 0:
+            consider(f1)
+            continue
+        pos = int(np.argmax(impact[free_idx]))
+        j = int(free_idx[pos])
+        free_c = np.delete(free_idx, pos)
+        f1_one = f1.copy()
+        f1_one[j] = True
+        base_one = base + G[:, j]
+        consider(greedy_completion(f1_one, free_c, room - 1, int(np.argmax(base_one))))
+        children = [
+            (node_bound(base, free_c, room), f1, free_c, base, room, 0),
+            (node_bound(base_one, free_c, room - 1), f1_one, free_c, base_one, room - 1, 1),
+        ]
+        children.sort(key=lambda c: (-c[0], -c[5]))
+        for bc, f1c, freec, basec, roomc, _ in children:
+            if bc < best[0] or (bc == best[0] and lex_smaller(f1c, best[1])):
+                stack.append((bc, f1c, freec, basec, roomc))
+
+    eta = best[0] if not capped else min(best[0], open_min)
+    Z = np.zeros(N)
+    Z[best[1]] = 1.0
+    return Z.reshape(k, n), float(eta), not capped, nodes
 
 
 def milp_enum_oracle(offsets, grads, N: int, ell: int):
@@ -198,6 +296,22 @@ def topk_argsort_oracle(A: np.ndarray, ell: int):
         keep = order[flat[order] > 0.0]
         out.ravel()[keep] = A.ravel()[keep]
     return out, keep
+
+
+def simplex_rows_oracle(A: np.ndarray) -> np.ndarray:
+    """Row-wise simplex projection by the textbook sort-and-threshold formula.
+
+    Sorts each row in decreasing order, takes ``rho`` as the last index with
+    ``s_rho - (cumsum(s)_rho - 1) / rho > 0`` and the threshold
+    ``(cumsum(s)_rho - 1) / rho``; a reference for bit-identity tests.
+    """
+    s = np.sort(A, axis=1)[:, ::-1]
+    css = np.cumsum(s, axis=1) - 1.0
+    counts = np.arange(1, A.shape[1] + 1, dtype=np.float64)
+    above = s - css / counts > 0
+    rho = A.shape[1] - 1 - np.argmax(above[:, ::-1], axis=1)
+    theta = css[np.arange(A.shape[0]), rho] / (rho + 1.0)
+    return np.maximum(A - theta[:, None], 0.0)
 
 
 def sweep_loop_oracle(X, cfg, lam: float, momentum: bool = True):

@@ -311,6 +311,16 @@ def test_synth_empty_shape_is_invalid_input(tmp_path, capsys, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--sigma-z", "nan"), ("--sigma-z", "inf"), ("--seed", "-1")]
+)
+def test_synth_bad_noise_or_seed_is_invalid_input(tmp_path, capsys, flag, value):
+    out = tmp_path / "s"
+    assert run(["synth", "--m", 8, "--n", 5, "--k", 2, flag, value, "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_eval_non_integer_label_is_invalid_input(synth_dir, tmp_path, capsys):
     fit = tmp_path / "f"
     assert run(fit_args(synth_dir, fit)) == 0

@@ -236,3 +236,14 @@ def test_synth_instance_validation():
 def test_synth_instance_rejects_empty_shapes(m, n, k):
     with pytest.raises(InvalidInputError, match="at least 1"):
         synth_instance(m, n, k, 0.1)
+
+
+@pytest.mark.parametrize("sigma_z", [math.nan, math.inf, -0.1])
+def test_synth_instance_rejects_bad_noise_level(sigma_z):
+    with pytest.raises(InvalidInputError, match="sigma_z"):
+        synth_instance(5, 4, 2, sigma_z)
+
+
+def test_synth_instance_rejects_negative_seed():
+    with pytest.raises(InvalidInputError, match="seed"):
+        synth_instance(5, 4, 2, 0.1, seed=-1)

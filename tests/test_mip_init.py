@@ -22,7 +22,7 @@ from sparse_aa import (
     synth_instance,
 )
 from sparse_aa.cli import zero_init
-from oracles import milp_enum_oracle
+from oracles import branch_and_bound_oracle, milp_enum_oracle
 
 
 def test_norm_bound_b_cases():
@@ -218,6 +218,31 @@ def test_milp_node_cap_gives_valid_bound():
     assert eta_cap <= eta_opt + 1e-12
     achieved = max(c.offset + float(np.sum(c.grad * Z_cap)) for c in cuts)
     assert achieved >= eta_opt - 1e-9  # incumbent is feasible, so above optimum
+
+
+def random_master(seed):
+    """A random cut master: 1-8 cuts with ties, zero-impact columns and
+    budgets from 1 to past k*n."""
+    rng = np.random.default_rng(seed)
+    k, n = int(rng.integers(1, 4)), int(rng.integers(1, 7))
+    n_cuts = int(rng.integers(1, 9))
+    G = -rng.exponential(size=(n_cuts, k * n)) * (rng.random((n_cuts, k * n)) < 0.7)
+    if seed % 2:
+        G = np.round(G, 1)  # ties in gradients and summed gradients
+    G[:, rng.random(k * n) < 0.2] = 0.0  # zero-impact columns
+    offsets = rng.uniform(0.0, 3.0, size=n_cuts)
+    ell = [1, max(1, k * n // 2), k * n, k * n + 3][seed % 4]
+    return offsets, G, (k, n), ell
+
+
+@pytest.mark.parametrize("node_cap", [None, 50, 3])
+@pytest.mark.parametrize("seed", range(40))
+def test_branch_and_bound_matches_oracle_bits(seed, node_cap):
+    offsets, G, shape, ell = random_master(seed)
+    sol = BranchAndBound(node_cap).minimize_cuts(offsets, G, shape, ell)
+    Z, eta, optimal, nodes = branch_and_bound_oracle(offsets, G, shape, ell, node_cap)
+    assert sol.Z.tobytes() == Z.tobytes()
+    assert (sol.eta, sol.optimal, sol.nodes) == (eta, optimal, nodes)
 
 
 def test_milp_requires_cuts():
@@ -459,3 +484,19 @@ def test_oa_rejects_max_rounds_below_one(max_rounds):
     X, cfg = oa_exit_instance()
     with pytest.raises(InvalidInputError, match="max_rounds"):
         outer_approximation(X, cfg, max_rounds=max_rounds)
+
+
+def test_oa_exit_max_rounds_skips_master_that_cannot_lift():
+    # the bound stays 0 on this instance, so the third master, whose pattern
+    # max_rounds would discard, cannot change the result and is not run
+    X, cfg = oa_exit_instance()
+    backend = CountingBackend()
+    res = outer_approximation(X, cfg, max_rounds=3, backend=backend)
+    cs = res.cutset
+    assert not res.converged
+    assert res.rounds == len(cs.cuts) == 3
+    assert len(backend.solutions) == res.rounds - 1
+    assert cs.best_lower == 0.0
+    # the skipped master would not have lifted the bound either
+    _, eta = milp_min_cuts(cs, cfg.k, X.shape[1], cfg.ell)
+    assert eta <= cs.best_lower

@@ -10,8 +10,8 @@ from sparse_aa import (
     project_sparse,
     support,
 )
-from sparse_aa.projections import _topk_raw
-from oracles import simplex_qp_oracle, topk_argsort_oracle
+from sparse_aa.projections import _simplex_rows_raw, _topk_raw
+from oracles import simplex_qp_oracle, simplex_rows_oracle, topk_argsort_oracle
 
 finite_floats = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
@@ -27,6 +27,33 @@ def test_simplex_rows_fixed_cases():
     np.testing.assert_allclose(
         project_simplex_rows(np.array([[0.2, 0.4]])), [[0.4, 0.6]], atol=1e-12
     )
+
+
+@st.composite
+def simplex_kernel_cases(draw):
+    """Rows with ties, repeated rows, width 1, magnitudes 1e-9 to 1e6 and
+    all-negative rows."""
+    m = draw(st.integers(1, 5))
+    d = draw(st.integers(1, 8))
+    base = st.integers(-4, 4) if draw(st.booleans()) else st.floats(-4.0, 4.0)
+    row = st.lists(base, min_size=d, max_size=d)
+    if draw(st.booleans()):
+        A = np.array([draw(row)] * m, dtype=np.float64)
+    else:
+        A = np.array(draw(st.lists(row, min_size=m, max_size=m)), dtype=np.float64)
+    A = A * draw(st.sampled_from([1e-9, 1e-4, 0.1, 1.0, 7.0, 1e3, 1e6]))
+    if draw(st.booleans()):
+        A = -np.abs(A) - draw(st.sampled_from([0.0, 1e-9, 1.0, 1e6]))
+    return A
+
+
+@given(simplex_kernel_cases())
+@example(np.array([[0.5]]))
+@example(np.array([[-1e6, -1e6], [-1e6, -1e6]]))
+@example(np.array([[1e-9, 1e-9, 1e-9]]))
+@settings(max_examples=400, deadline=None)
+def test_simplex_kernel_matches_oracle_bits(A):
+    assert _simplex_rows_raw(A).tobytes() == simplex_rows_oracle(A).tobytes()
 
 
 def test_simplex_rows_rejects_empty_rows():
