@@ -118,7 +118,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         "sigma_z": args.sigma_z,
         "zero_frac": args.zero_frac,
         "seed": args.seed,
-        "nnz_H0": nnz(H0, 0.0),
+        "nnz_H0": nnz(H0),
         "files": ["X.csv", "X0.csv", "H0.csv", "W0.csv", "Z.csv"],
     }
     write_json(out / "manifest.json", manifest)
@@ -190,7 +190,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         "init": args.init,
         "local_search": args.local_search == "on",
         "objective": {"fit": final.fit, "reg": final.reg, "total": final.total},
-        "nnz_H": nnz(fac.H, 0.0),
+        "nnz_H": nnz(fac.H),
         "iterations": trace.iterations,
         "converged": trace.converged,
         "stationarity_residual": trace.stationarity_residual,

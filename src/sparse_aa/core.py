@@ -17,7 +17,6 @@ from typing import Sequence
 import numpy as np
 
 ROW_SUM_TOL = 1e-9
-ZERO_TOL = 1e-12
 _POWER_TOL = 1e-10  # relative change that stops the power iteration
 _POWER_MAX_ITER = 10_000
 
@@ -101,20 +100,14 @@ def _power_iteration(gram: np.ndarray, v: np.ndarray) -> float:
     return sigma
 
 
-def nnz(a, zero_tol: float = ZERO_TOL) -> int:
-    """Number of entries with magnitude above ``zero_tol``."""
-    A = as_matrix(a, "A")
-    if zero_tol < 0:
-        raise InvalidInputError("nnz: zero_tol must be nonnegative")
-    return int(np.count_nonzero(np.abs(A) > zero_tol))
+def nnz(a) -> int:
+    """Number of nonzero entries."""
+    return int(np.count_nonzero(as_matrix(a, "A")))
 
 
-def support(a, zero_tol: float = ZERO_TOL) -> list[tuple[int, int]]:
-    """Indices ``(i, j)`` with ``|a_ij| > zero_tol``, in row-major order."""
-    A = as_matrix(a, "A")
-    if zero_tol < 0:
-        raise InvalidInputError("support: zero_tol must be nonnegative")
-    rows, cols = np.nonzero(np.abs(A) > zero_tol)
+def support(a) -> list[tuple[int, int]]:
+    """Indices ``(i, j)`` with ``a_ij != 0``, in row-major order."""
+    rows, cols = np.nonzero(as_matrix(a, "A"))
     return list(zip(rows.tolist(), cols.tolist()))
 
 
@@ -208,7 +201,7 @@ class Factorization:
             )
         if np.any(self.H < 0):
             raise InvalidInputError("Factorization: H must be nonnegative")
-        if ell is not None and nnz(self.H, 0.0) > ell:
+        if ell is not None and nnz(self.H) > ell:
             raise InvalidInputError(f"Factorization: ||H||_0 exceeds budget {ell}")
         for name, M in (("W", self.W), ("Wt", self.Wt)):
             if np.any(M < 0):
@@ -229,10 +222,16 @@ def write_matrix_csv(path, a) -> None:
 
 
 def read_matrix_csv(path) -> np.ndarray:
+    """A headerless numeric CSV with at least one row, as a matrix."""
     try:
-        arr = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
+        with warnings.catch_warnings():
+            # a file with no rows is rejected below, without numpy's warning
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            arr = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
     except ValueError as exc:  # a non-numeric cell or a ragged row
         raise InvalidInputError(f"{path}: {exc}") from None
+    if arr.shape[0] == 0:
+        raise InvalidInputError(f"{path}: no data rows")
     return as_matrix(arr, str(path))
 
 

@@ -37,18 +37,10 @@ class HullDistanceResult:
     iterations: int
 
 
-def hull_distance(
-    x,
-    X,
-    tol: float = 1e-10,
-    max_iter: int = 5_000,
-    smax: float | None = None,
-) -> HullDistanceResult:
+def hull_distance(x, X, tol: float = 1e-10, max_iter: int = 5_000) -> HullDistanceResult:
     """Squared Euclidean distance from ``x`` to the hull of the rows of ``X``.
 
-    ``smax`` may carry a precomputed spectral norm of ``X`` so that repeated
-    calls do not repeat the power iteration.  Stops once the relative
-    objective decrease falls below ``tol``.
+    Stops once the relative objective decrease falls below ``tol``.
     """
     xv = as_vector(x, "x")
     Xm = as_matrix(X, "X")
@@ -58,9 +50,7 @@ def hull_distance(
         raise InvalidInputError(
             f"hull_distance: dimension mismatch x({xv.shape[0]}) vs X{Xm.shape}"
         )
-    if smax is None:
-        smax = spectral_norm(Xm)
-    sq, weights, its = _hull_rows(xv[None, :], Xm, tol, max_iter, smax)
+    sq, weights, its = _hull_rows(xv[None, :], Xm, tol, max_iter, spectral_norm(Xm))
     return HullDistanceResult(float(sq[0]), weights[0], int(its[0]))
 
 

@@ -174,9 +174,9 @@ def local_search(
     psi = objective(Xm, cur, lam).total
     accepted: list[SwapProposal] = []
     for _ in range(max_swaps):
-        if nnz(cur.H, 0.0) >= cur.H.size:
+        if nnz(cur.H) >= cur.H.size:
             break
-        if nnz(cur.H, 0.0) < cfg.ell:
+        if nnz(cur.H) < cfg.ell:
             leaving = None
         else:
             leaving = select_leaving(cur.H)

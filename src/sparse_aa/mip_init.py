@@ -37,7 +37,6 @@ from .solver import SolveTrace, default_init, solve, step_W
 _F_ABS_STOP = 1e-22
 _GAP_REL = 1e-6  # relative gap that counts as closed
 _GAP_ABS = 1e-9  # absolute gap that counts as closed when F is near zero
-_EVAL_F_TOL = 1e-10  # relative tolerance of the inner eval_F solves
 
 
 @dataclass(frozen=True)
@@ -412,7 +411,6 @@ class OaResult:
 
     H: np.ndarray
     Wt: np.ndarray
-    value: float
     cutset: CutSet
     rounds: int
     converged: bool
@@ -471,9 +469,7 @@ def outer_approximation(
             break
         seen.add(key)
         h0, wt0 = (None, None) if best is None else best[1:]
-        val, Hs, Wts = eval_F(
-            Z, Xm, b, ell, tol=_EVAL_F_TOL, max_iter=inner_max_iter, h0=h0, wt0=wt0
-        )
+        val, Hs, Wts = eval_F(Z, Xm, b, ell, max_iter=inner_max_iter, h0=h0, wt0=wt0)
         grad = subgradient_F(Hs, Wts, Xm, b)
         cutset.add(Cut(pattern=Z.copy(), value=val, grad=grad))
         if best is None or val < best[0]:
@@ -497,7 +493,6 @@ def outer_approximation(
     return OaResult(
         H=best[1],
         Wt=best[2],
-        value=best[0],
         cutset=cutset,
         rounds=len(cutset.cuts),
         converged=converged,

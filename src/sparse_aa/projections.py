@@ -40,10 +40,18 @@ def _simplex_rows_raw(A: np.ndarray) -> np.ndarray:
     css = np.cumsum(s, axis=1)
     css -= 1.0
     ratio = np.divide(css, _counts(d), out=css)  # candidate thresholds
-    # the first column is above (s_1 > s_1 - 1) unless s_1 - 1 rounds to s_1
-    rho = d - 1 - np.argmax((s > ratio)[:, ::-1], axis=1)
+    above = s > ratio
+    rho = d - 1 - np.argmax(above[:, ::-1], axis=1)
     out = A - ratio[np.arange(m), rho][:, None]
-    return np.maximum(out, 0.0, out=out)
+    np.maximum(out, 0.0, out=out)
+    # the first column is above (s_1 > s_1 - 1) unless s_1 - 1 rounds to s_1;
+    # a row with no column above is projected again shifted to a zero
+    # maximum, which leaves its projection unchanged and puts column 0 above
+    if np.count_nonzero(above[:, 0]) < m:
+        lost = ~above.any(axis=1)
+        B = A[lost]
+        out[lost] = _simplex_rows_raw(B - B.max(axis=1, keepdims=True))
+    return out
 
 
 def project_sparse(a, ell: int) -> np.ndarray:
@@ -57,8 +65,7 @@ def project_sparse(a, ell: int) -> np.ndarray:
     A = as_matrix(a, "A")
     if ell < 0:
         raise InvalidInputError("project_sparse: ell must be nonnegative")
-    out, _ = _topk_raw(A, ell)
-    return out
+    return _topk_raw(A, ell)
 
 
 def _topk_threshold(flat: np.ndarray, ell: int) -> float | None:
@@ -69,8 +76,8 @@ def _topk_threshold(flat: np.ndarray, ell: int) -> float | None:
     return float(np.partition(flat, flat.size - ell)[flat.size - ell])
 
 
-def _topk_raw(A: np.ndarray, ell: int) -> tuple[np.ndarray, np.ndarray]:
-    """Top-``ell`` magnitudes of ``A`` and the flat row-major mask of kept entries.
+def _topk_raw(A: np.ndarray, ell: int) -> np.ndarray:
+    """Top-``ell`` magnitudes of ``A``, the rest zeroed.
 
     Every entry above the ``ell``-th largest magnitude is kept, and the rest
     of the budget goes to the lowest-index entries equal to it.  Zeros are
@@ -78,7 +85,7 @@ def _topk_raw(A: np.ndarray, ell: int) -> tuple[np.ndarray, np.ndarray]:
     """
     flat = np.abs(A).ravel()
     if ell <= 0:
-        return np.zeros_like(A), np.zeros(flat.size, dtype=bool)
+        return np.zeros_like(A)
     thr = _topk_threshold(flat, ell)
     if thr is None or thr == 0.0:
         mask = flat > 0.0
@@ -88,4 +95,4 @@ def _topk_raw(A: np.ndarray, ell: int) -> tuple[np.ndarray, np.ndarray]:
         if extra:
             # ties at the threshold: the highest indices give way
             mask[np.flatnonzero(flat == thr)[-extra:]] = False
-    return np.where(mask.reshape(A.shape), A, 0.0), mask
+    return np.where(mask.reshape(A.shape), A, 0.0)

@@ -19,17 +19,11 @@ point ``B + beta (B - B_prev)`` of every block, with the FISTA weight
 is no higher than the current one; otherwise ``solve`` takes the plain
 sweep from the current iterate and restarts the weight at zero, so descent
 stays monotone and every iterate stays feasible.  A rejected extrapolation
-costs one extra sweep, and an extrapolated sweep cannot reuse the current
-residuals, so an accepted sweep costs more: on the ``wide`` benchmark fit
-(40x300, k=5, 2-core x86 machine) about 370 instead of 270 us, while the
-sweep count of its eight continuation solves fell from 73,915 to 3,898.
+costs one extra sweep.
 
 A sweep costs O(k*n) beyond its matrix products: the top-ell step selects
 the ell-th largest magnitude with ``np.partition`` instead of sorting all
-k*n entries.  ``solve`` also hands the residual ``X - W H`` and the product
-``Wt X`` of each objective evaluation to the next plain sweep, whose H-step
-and Wt-step would otherwise compute them again from the same arrays; an
-extrapolated sweep computes them at its own starting point.
+k*n entries, and the H-step and Wt-step share one product ``Wt X``.
 """
 
 from __future__ import annotations
@@ -88,13 +82,12 @@ class StationarityReport:
 
 
 def _objective_raw(X, H, W, Wt, lam: float):
-    """``(fit, reg, total, X - W H, Wt X)``; the last two feed the next sweep."""
+    """``(fit, reg, total)`` on plain arrays."""
     r1 = X - W @ H
-    wtx = Wt @ X
-    r2 = H - wtx
+    r2 = H - Wt @ X
     fit = float(np.sum(r1 * r1))
     reg = float(np.sum(r2 * r2))
-    return fit, reg, fit + lam * reg, r1, wtx
+    return fit, reg, fit + lam * reg
 
 
 def objective(X, fac: Factorization, lam: float) -> ObjectiveBreakdown:
@@ -102,7 +95,7 @@ def objective(X, fac: Factorization, lam: float) -> ObjectiveBreakdown:
     Xm = as_matrix(X, "X")
     if fac.W.shape[0] != Xm.shape[0] or fac.H.shape[1] != Xm.shape[1]:
         raise InvalidInputError("objective: shapes of X and factorization differ")
-    fit, reg, total, _, _ = _objective_raw(Xm, fac.H, fac.W, fac.Wt, lam)
+    fit, reg, total = _objective_raw(Xm, fac.H, fac.W, fac.Wt, lam)
     return ObjectiveBreakdown(fit=fit, reg=reg, total=total)
 
 
@@ -118,28 +111,23 @@ def grad_Wt(X, fac: Factorization, lam: float) -> np.ndarray:
     return -2.0 * lam * (fac.H - fac.Wt @ X) @ X.T
 
 
-def _h_target_raw(X, H, W, Wt, lam, l1, r1=None, wtx=None):
-    """Clamped gradient step on H, the input of the top-ell selection.
-
-    ``r1 = X - W H`` and ``wtx = Wt X`` are computed when not given.
-    """
-    if r1 is None:
-        r1 = X - W @ H
-    if wtx is None:
-        wtx = Wt @ X
-    return np.maximum(H - (-(W.T @ r1) + lam * (H - wtx)) / l1, 0.0)
+def _h_target_raw(X, H, W, lam, l1, wtx):
+    """Clamped gradient step on H, the input of the top-ell selection;
+    ``wtx = Wt X``."""
+    return np.maximum(H - (-(W.T @ (X - W @ H)) + lam * (H - wtx)) / l1, 0.0)
 
 
-def step_H(X, H, W, Wt, lam, ell, r1=None, wtx=None):
+def step_H(X, H, W, Wt, lam, ell, wtx=None):
     """Proximal descent step on H: clamp the gradient step, then keep the
     top ``ell`` entries.  Returns ``(H1, L1)`` with ``L1 = 2 (lam + ||W||^2)``.
 
-    ``r1 = X - W H`` and ``wtx = Wt X`` are computed when not given.
+    ``wtx = Wt X`` is computed when not given.
     """
+    if wtx is None:
+        wtx = Wt @ X
     sw = _spectral_norm_raw(W)
     l1 = 2.0 * (lam + sw * sw)
-    out, _ = _topk_raw(_h_target_raw(X, H, W, Wt, lam, l1, r1, wtx), ell)
-    return out, l1
+    return _topk_raw(_h_target_raw(X, H, W, lam, l1, wtx), ell), l1
 
 
 def step_W(X, H, W):
@@ -169,16 +157,14 @@ def default_init(X, cfg: SaaConfig) -> Factorization:
     m = Xm.shape[0]
     W = np.full((m, cfg.k), 1.0 / cfg.k)
     Wt = np.full((cfg.k, m), 1.0 / m)
-    H, _ = _topk_raw(np.maximum(Wt @ Xm, 0.0), cfg.ell)
+    H = _topk_raw(np.maximum(Wt @ Xm, 0.0), cfg.ell)
     return Factorization(H=H, W=W, Wt=Wt)
 
 
-def _sweep_raw(X, H, W, Wt, lam, ell, smax_x, r1=None, wtx=None):
-    """One H, W, Wt sweep; ``r1 = X - W H`` and ``wtx = Wt X`` of the input
-    iterate are computed when not given."""
-    if wtx is None:
-        wtx = Wt @ X
-    H1, l1 = step_H(X, H, W, Wt, lam, ell, r1, wtx)
+def _sweep_raw(X, H, W, Wt, lam, ell, smax_x):
+    """One H, W, Wt sweep; the H-step and the Wt-step share ``Wt X``."""
+    wtx = Wt @ X
+    H1, l1 = step_H(X, H, W, Wt, lam, ell, wtx)
     W1, l2 = step_W(X, H1, W)
     Wt1, l3 = step_Wt(X, H1, Wt, lam, smax_x, wtx)
     return H1, W1, Wt1, (l1, l2, l3)
@@ -220,7 +206,7 @@ def solve(
     H, W, Wt = fac.H, fac.W, fac.Wt
     H_prev, W_prev, Wt_prev = H, W, Wt
     trace = SolveTrace()
-    fit, reg, total, r1, wtx = _objective_raw(Xm, H, W, Wt, lam)
+    fit, reg, total = _objective_raw(Xm, H, W, Wt, lam)
     trace.objectives.append(total)
     trace.fits.append(fit)
     trace.regs.append(reg)
@@ -231,7 +217,6 @@ def solve(
         beta = (t - 1.0) / t_next
         accepted = False
         if beta > 0.0:
-            # extrapolated sweep, cold: r1 and wtx belong to the current iterate
             H1, W1, Wt1, ls = _sweep_raw(
                 Xm,
                 H + beta * (H - H_prev),
@@ -243,11 +228,11 @@ def solve(
             accepted = new[2] <= total
         if not accepted:
             # plain sweep from the current iterate; a rejection restarts momentum
-            H1, W1, Wt1, ls = _sweep_raw(Xm, H, W, Wt, lam, ell, smax_x, r1, wtx)
+            H1, W1, Wt1, ls = _sweep_raw(Xm, H, W, Wt, lam, ell, smax_x)
             new = _objective_raw(Xm, H1, W1, Wt1, lam)
             if beta > 0.0:
                 t_next = 1.0
-        fit, reg, new_total, r1, wtx = new
+        fit, reg, new_total = new
         l1, l2, l3 = ls
         change = max(
             float(np.linalg.norm(H1 - H)),
@@ -269,7 +254,7 @@ def solve(
             break
 
     out = Factorization(H=H, W=W, Wt=Wt)
-    report = stationarity_residual(Xm, out, cfg, lam=lam, smax_x=smax_x)
+    report = stationarity_residual(Xm, out, cfg, lam=lam)
     trace.stationarity_residual = report.residual
     trace.boundary_tie = report.boundary_tie
     return out, trace
@@ -280,7 +265,6 @@ def stationarity_residual(
     fac: Factorization,
     cfg: SaaConfig,
     lam: float | None = None,
-    smax_x: float | None = None,
 ) -> StationarityReport:
     """Apply one full sweep from ``fac`` and measure the largest block change.
 
@@ -293,8 +277,7 @@ def stationarity_residual(
         lam = cfg.final_lambda
     if lam <= 0:
         raise InvalidInputError("stationarity_residual: lam must be positive")
-    if smax_x is None:
-        smax_x = _spectral_norm_raw(Xm)
+    smax_x = _spectral_norm_raw(Xm)
     H1, W1, Wt1, (l1, _, _) = _sweep_raw(Xm, fac.H, fac.W, fac.Wt, lam, cfg.ell, smax_x)
     residual = max(
         float(np.linalg.norm(H1 - fac.H)),
@@ -302,7 +285,7 @@ def stationarity_residual(
         float(np.linalg.norm(Wt1 - fac.Wt)),
     )
     # a tie: more than ell entries reach the (positive) selection threshold
-    target = _h_target_raw(Xm, fac.H, fac.W, fac.Wt, lam, l1)
+    target = _h_target_raw(Xm, fac.H, fac.W, lam, l1, fac.Wt @ Xm)
     thr = _topk_threshold(target.ravel(), cfg.ell)
     tie = thr is not None and thr > 0.0 and np.count_nonzero(target >= thr) > cfg.ell
     return StationarityReport(residual=residual, boundary_tie=bool(tie))

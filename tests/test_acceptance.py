@@ -240,7 +240,7 @@ def test_criterion_5_mip_oracles():
                 z[list(comb)] = 1.0
                 v, _, _ = eval_F(z.reshape(2, 3), X, b, 3)
                 best = min(best, v)
-        gap = abs(res.value - best)
+        gap = abs(res.cutset.best_upper - best)
         worst_inc = max(worst_inc, gap)
         incumbent_exact &= gap <= max(1e-6 * best, 1e-8)
         clamped = [min(lo, res.cutset.best_upper) for lo in lowers]
@@ -348,7 +348,7 @@ def test_criterion_7_robustness_inequalities():
         X, X0, H0, Z = _separable_sparse_instance(seed)
         seed += 1
         k, n = H0.shape
-        ell = nnz(H0, 0.0)
+        ell = nnz(H0)
         sched = tuple(np.geomspace(30.0, 0.25, 8))
         cfg = SaaConfig(
             k=k, ell=ell, lam=sched, max_iter=6_000,

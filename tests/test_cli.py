@@ -246,6 +246,32 @@ def test_fit_bad_numbers_are_invalid_input(synth_dir, tmp_path, capsys, lam, csv
     assert not out.exists()
 
 
+@pytest.mark.parametrize("init", ["zero", "mip"])
+def test_fit_empty_data_file_is_invalid_input(tmp_path, capsys, init):
+    data = tmp_path / "empty.csv"
+    data.write_text("")
+    out = tmp_path / "out"
+    rc = run(["fit", "--data", data, "--k", 2, "--ell", 2, "--init", init, "--out", out])
+    assert rc == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and "empty.csv" in lines[0]
+    assert not out.exists()
+
+
+def test_eval_empty_fit_matrix_is_invalid_input(synth_dir, tmp_path, capsys):
+    fit = tmp_path / "f"
+    assert run(fit_args(synth_dir, fit)) == 0
+    (fit / "H.csv").write_text("")
+    capsys.readouterr()
+    out = tmp_path / "ev"
+    assert run(["eval", "--truth", synth_dir, "--fit", fit, "--out", out]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and "H.csv" in lines[0]
+    assert not out.exists()
+
+
 def test_fit_summary_config_is_the_estimator_and_solver_settings(synth_dir, tmp_path):
     out = tmp_path / "cfg"
     assert run(fit_args(synth_dir, out)) == 0

@@ -56,6 +56,8 @@ def test_spectral_norm_rejects_nonfinite():
 
 def test_nnz_zero_matrix():
     assert nnz(np.zeros((3, 4))) == 0
+    # tiny entries are nonzero too
+    assert nnz(np.array([[1e-13, 0.0], [0.0, -5e-324]])) == 2
 
 
 def test_nnz_appendix_fixtures():
@@ -70,6 +72,7 @@ def test_support_ordering_and_cases():
     H2 = np.array([[0.0, 0.0], [0.0, 0.8], [0.8, 0.0]])
     assert support(H2) == [(1, 1), (2, 0)]
     assert support(np.ones((2, 2))) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert support(np.array([[1e-13, 0.0], [0.0, -5e-324]])) == [(0, 0), (1, 1)]
 
 
 def test_as_matrix_rejects_bad_input():

@@ -95,7 +95,7 @@ def test_robustness_report_perfect_recovery():
     _, X0_mix, H0, W0, _ = synth_instance(10, 6, 3, 0.0, zero_frac=0.4, seed=1)
     X0 = np.vstack([X0_mix, H0])  # separable: archetypes are data rows
     Z = np.zeros_like(X0)
-    ell = nnz(H0, 0.0)
+    ell = nnz(H0)
     rep = robustness_report(H0, H0, X0, Z, ell)
     assert rep.weak == pytest.approx(0.0, abs=1e-12)
     assert rep.strong == pytest.approx(0.0, abs=1e-12)
@@ -216,7 +216,7 @@ def test_synth_instance_contracts():
     assert set_hull_distance(X0, H0) <= 1e-8
 
     X, X0, H0, W0, Z = synth_instance(15, 8, 3, 0.3, zero_frac=0.2, seed=8)
-    assert nnz(H0, 0.0) <= 0.8 * 8 * 3
+    assert nnz(H0) <= 0.8 * 8 * 3
     np.testing.assert_allclose(W0.sum(axis=1), 1.0, atol=1e-12)
     np.testing.assert_array_equal(X, np.maximum(X0 + Z, 0.0))
 

@@ -237,7 +237,7 @@ def test_batched_iterations_equal_solo_iterations(seed):
     X = np.vstack([rng.uniform(size=(6, 4)) * 2.0, _mixed_rows(Y, rng)])
     smax = spectral_norm(Y)
     sq, weights, its = _hull_rows(X, Y, 1e-10, 5_000, smax)
-    solo = [hull_distance(x, Y, smax=smax) for x in X]
+    solo = [hull_distance(x, Y) for x in X]
     outside = np.array([hull_qp_oracle(x, Y) for x in X]) > 1e-6
     assert outside.sum() >= 6 and (~outside).sum() >= 3
     # Outside the hull every stopping decision has a margin far above

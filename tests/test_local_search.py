@@ -205,7 +205,7 @@ def test_local_search_accepts_only_strict_improvements():
     assert all(b < a for a, b in zip([psi0] + psis, psis))
     assert len(log) == n_swaps
     out.validate(cfg.ell)
-    assert nnz(out.H, 0.0) <= cfg.ell
+    assert nnz(out.H) <= cfg.ell
     assert objective(X, out, 1.0).total <= psi0
 
 
@@ -220,7 +220,7 @@ def test_local_search_stops_at_rejection_and_is_deterministic():
     np.testing.assert_array_equal(out1.H, out2.H)
 
     # re-proposing from the terminal state yields the same rejected pair
-    if nnz(out1.H, 0.0) >= cfg.ell:
+    if nnz(out1.H) >= cfg.ell:
         leave_a = select_leaving(out1.H)
         enter_a = select_entering(X, out1, 1.0)
         leave_b = select_leaving(out1.H)
@@ -259,6 +259,6 @@ def test_local_search_under_budget_uses_entering_only():
     cfg = SaaConfig(k=2, ell=6, lam=1.0)  # budget above current support
     out, n_swaps, log = local_search(X, fac, cfg, max_swaps=3)
     for swap in log:
-        if nnz(fac.H, 0.0) < cfg.ell:
+        if nnz(fac.H) < cfg.ell:
             assert swap.leaving is None
         break

@@ -56,6 +56,14 @@ def test_simplex_kernel_matches_oracle_bits(A):
     assert _simplex_rows_raw(A).tobytes() == simplex_rows_oracle(A).tobytes()
 
 
+def test_simplex_rows_huge_entries_stay_on_simplex():
+    # s_1 - 1 rounds to s_1 from 2**53 up, so no column tests as above its
+    # threshold; such rows are projected shifted to a zero maximum
+    A = np.array([[1e16, 0.0], [1e300, -1e300], [0.5, 2.0], [-3e16, -3e16]])
+    P = project_simplex_rows(A)
+    np.testing.assert_array_equal(P, [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
+
+
 def test_simplex_rows_rejects_empty_rows():
     with pytest.raises(InvalidInputError):
         project_simplex_rows(np.zeros((2, 0)))
@@ -87,20 +95,20 @@ def test_project_sparse_fixed_cases():
     A = np.array([[3.0, 1.0], [0.0, 2.0]])
     out = project_sparse(A, 2)
     np.testing.assert_array_equal(out, [[3.0, 0.0], [0.0, 2.0]])
-    assert support(out, 0.0) == [(0, 0), (1, 1)]
+    assert support(out) == [(0, 0), (1, 1)]
 
     out = project_sparse(A, 10)  # ell >= nnz keeps everything
     np.testing.assert_array_equal(out, A)
 
     out = project_sparse(np.array([[1.0, 1.0], [0.0, 0.0]]), 1)
     np.testing.assert_array_equal(out, [[1.0, 0.0], [0.0, 0.0]])
-    assert support(out, 0.0) == [(0, 0)]
+    assert support(out) == [(0, 0)]
 
 
 def test_project_sparse_budget_zero():
     out = project_sparse(np.ones((2, 2)), 0)
     np.testing.assert_array_equal(out, np.zeros((2, 2)))
-    assert support(out, 0.0) == []
+    assert support(out) == []
 
 
 @given(
@@ -113,8 +121,8 @@ def test_project_sparse_budget_zero():
 def test_project_sparse_invariants(rows, ell):
     A = np.array(rows, dtype=float)
     P = project_sparse(A, ell)
-    assert nnz(P, 0.0) <= ell
-    assert len(support(P, 0.0)) <= ell
+    assert nnz(P) <= ell
+    assert len(support(P)) <= ell
     # complement identity and norm contraction
     np.testing.assert_array_equal(P + (A - P), A)
     assert np.linalg.norm(P) <= np.linalg.norm(A) + 1e-12
@@ -128,7 +136,7 @@ def test_project_sparse_keeps_largest_magnitudes():
     A = rng.normal(size=(4, 6))
     ell = 7
     P = project_sparse(A, ell)
-    kept = support(P, 0.0)
+    kept = support(P)
     kept_vals = sorted(abs(A[i, j]) for i, j in kept)
     dropped = sorted(
         abs(v) for idx, v in np.ndenumerate(A) if idx not in set(kept)
@@ -166,9 +174,8 @@ def topk_cases(draw):
 def test_topk_matches_stable_argsort_rule(case):
     A, ell = case
     want, keep = topk_argsort_oracle(A, ell)
-    out, mask = _topk_raw(A, ell)
+    out = _topk_raw(A, ell)
     assert out.tobytes() == want.tobytes()
-    assert set(np.flatnonzero(mask).tolist()) == set(keep.tolist())
     P = project_sparse(A, ell)
     assert P.tobytes() == want.tobytes()
-    assert support(P, 0.0) == sorted(divmod(int(i), A.shape[1]) for i in keep)
+    assert support(P) == sorted(divmod(int(i), A.shape[1]) for i in keep)

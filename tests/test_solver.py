@@ -140,14 +140,14 @@ def rel_err(a, b):
 def test_step_H_fixed_point_and_feasibility():
     rng = np.random.default_rng(1)
     X, fac = exact_point(rng)
-    out, _ = step_H(X, fac.H, fac.W, fac.Wt, 1.5, nnz(fac.H, 0.0))
+    out, _ = step_H(X, fac.H, fac.W, fac.Wt, 1.5, nnz(fac.H))
     np.testing.assert_allclose(out, fac.H, atol=1e-12)
 
     fac2 = random_feasible(rng)
     X2 = rng.uniform(size=(5, 4))
     out2, _ = step_H(X2, fac2.H, fac2.W, fac2.Wt, 1.0, 6)
     assert np.all(out2 >= 0.0)
-    assert nnz(out2, 0.0) <= 6
+    assert nnz(out2) <= 6
 
 
 def test_step_W_descends_and_fixed_point():
@@ -184,7 +184,7 @@ def test_step_Wt_fixed_point_and_lambda_zero():
 def test_solve_exact_point_converges_immediately():
     rng = np.random.default_rng(4)
     X, fac = exact_point(rng)
-    cfg = SaaConfig(k=3, ell=nnz(fac.H, 0.0), lam=1.0)
+    cfg = SaaConfig(k=3, ell=nnz(fac.H), lam=1.0)
     out, trace = solve(X, fac, cfg)
     assert trace.converged
     assert trace.iterations == 1
@@ -221,7 +221,7 @@ def test_solve_rejects_infeasible_init_and_nonpositive_lambda():
 def test_stationarity_residual_zero_and_positive():
     rng = np.random.default_rng(6)
     X, fac = exact_point(rng)
-    cfg = SaaConfig(k=3, ell=max(nnz(fac.H, 0.0), 3), lam=1.0)
+    cfg = SaaConfig(k=3, ell=max(nnz(fac.H), 3), lam=1.0)
     rep = stationarity_residual(X, fac, cfg)
     assert rep.residual == pytest.approx(0.0, abs=1e-10)
 
