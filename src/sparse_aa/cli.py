@@ -22,6 +22,7 @@ from .core import (
     InvalidInputError,
     NumericalError,
     SaaConfig,
+    _loadtxt,
     nnz,
     read_json,
     read_matrix_csv,
@@ -218,10 +219,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
     Z = read_matrix_csv(truth / "Z.csv")
     labels = None
     if args.labels:
-        try:
-            labels = np.loadtxt(args.labels, dtype=np.int64, ndmin=1)
-        except ValueError as exc:  # a line that is not an integer
-            raise InvalidInputError(f"{args.labels}: {exc}") from None
+        X = read_matrix_csv(truth / "X.csv")
+        labels = _loadtxt(args.labels, dtype=np.int64, ndmin=1)
+        if labels.shape[0] != X.shape[0]:
+            raise InvalidInputError(
+                f"{args.labels}: {labels.shape[0]} labels for the "
+                f"{X.shape[0]} rows of {truth / 'X.csv'}"
+            )
 
     rows = []
     for fit_dir in args.fit:
@@ -248,7 +252,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
             "psi": summary["objective"]["total"],
         }
         if labels is not None:
-            X = read_matrix_csv(truth / "X.csv")
             est = cluster_assign(X, H_hat)
             cm = cluster_metrics(labels, est, H0.shape[0])
             row["purity"] = cm.purity

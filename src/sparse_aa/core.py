@@ -221,15 +221,21 @@ def write_matrix_csv(path, a) -> None:
     np.savetxt(path, A, delimiter=",", fmt="%.17g")
 
 
-def read_matrix_csv(path) -> np.ndarray:
-    """A headerless numeric CSV with at least one row, as a matrix."""
+def _loadtxt(path, **kwargs) -> np.ndarray:
+    """``np.loadtxt`` without numpy's empty-input warning (callers reject a
+    file with no rows themselves); a cell that does not parse is invalid
+    input naming ``path``."""
     try:
         with warnings.catch_warnings():
-            # a file with no rows is rejected below, without numpy's warning
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            arr = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
-    except ValueError as exc:  # a non-numeric cell or a ragged row
+            return np.loadtxt(path, **kwargs)
+    except ValueError as exc:  # a cell that does not parse, or a ragged row
         raise InvalidInputError(f"{path}: {exc}") from None
+
+
+def read_matrix_csv(path) -> np.ndarray:
+    """A headerless numeric CSV with at least one row, as a matrix."""
+    arr = _loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
     if arr.shape[0] == 0:
         raise InvalidInputError(f"{path}: no data rows")
     return as_matrix(arr, str(path))

@@ -9,7 +9,8 @@ sweep-loop oracles write the solver's work out the long way (a full stable
 argsort; every residual recomputed, no residual carried between sweeps) as
 references for bit-identity tests, as do the row-simplex and cut-master
 branch-and-bound oracles (the textbook threshold formula; a free set and
-bound sums rebuilt at every node).
+bound sums rebuilt at every node), and the swap-refit oracle (each weight
+fit's objective and gradient formed from the full residual).
 """
 
 import itertools
@@ -392,3 +393,52 @@ def sweep_loop_oracle(X, cfg, lam: float, momentum: bool = True):
         if done and change <= cfg.tol_stationary:
             break
     return H, W, Wt, objectives, steps, ties, rejects
+
+
+def swap_refit_oracle(X, fac, lam: float, leaving, entering):
+    """One swap refit with every weight-fit residual formed in full.
+
+    Drops ``leaving`` from H, fits W to ``||X - M Ht||^2`` and then Wt to
+    ``||Ht - M X||^2`` over row-stochastic matrices, each from the caller's
+    weights, with the objective and gradient built from the m x n (or
+    k x n) residual, and sets the entering entry with ``optimal_t``.  It
+    reuses the library's accelerated driver, simplex projection, spectral
+    norm, fit constants, ``optimal_t`` and ``objective``, which the refit
+    calls unchanged.  Returns ``(H, W, Wt, t_star, psi, inner_iterations)``.
+    """
+    from sparse_aa.core import Factorization, spectral_norm
+    from sparse_aa._fista import minimize
+    from sparse_aa.local_search import _REFIT_INNER_MAX_ITER, _REFIT_INNER_TOL, optimal_t
+    from sparse_aa.projections import _simplex_rows_raw
+    from sparse_aa.solver import objective
+
+    def fit(M0, f, grad, lipschitz):
+        if lipschitz == 0.0:
+            return M0, 0
+        M, _, used = minimize(
+            f, grad, _simplex_rows_raw, M0, step=1.0 / lipschitz,
+            tol=_REFIT_INNER_TOL, max_iter=_REFIT_INNER_MAX_ITER,
+        )
+        return M, used
+
+    Ht = fac.H.copy()
+    if leaving is not None:
+        Ht[leaving] = 0.0
+    sh = spectral_norm(Ht) if Ht.any() else 0.0
+    W, it_w = fit(
+        fac.W.copy(),
+        lambda M: float(np.linalg.norm(X - M @ Ht) ** 2),
+        lambda M: -2.0 * (X - M @ Ht) @ Ht.T,
+        2.0 * sh * sh,
+    )
+    sx = spectral_norm(X)
+    Wt, it_wt = fit(
+        fac.Wt.copy(),
+        lambda M: float(np.linalg.norm(Ht - M @ X) ** 2),
+        lambda M: -2.0 * (Ht - M @ X) @ X.T,
+        2.0 * sx * sx,
+    )
+    t_star = optimal_t(X, Ht, W, Wt, lam, *entering)
+    Ht[entering] = t_star
+    psi = objective(X, Factorization(H=Ht, W=W, Wt=Wt), lam).total
+    return Ht, W, Wt, t_star, psi, it_w + it_wt

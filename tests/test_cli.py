@@ -360,3 +360,21 @@ def test_eval_non_integer_label_is_invalid_input(synth_dir, tmp_path, capsys):
     assert len(lines) == 1
     assert lines[0].startswith("error: ") and "labels.txt" in lines[0]
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text, count", [("", 0), ("0\n1\n", 2)])
+def test_eval_label_count_mismatch_is_invalid_input(synth_dir, tmp_path, capsys, text, count):
+    fit = tmp_path / "f"
+    assert run(fit_args(synth_dir, fit)) == 0
+    capsys.readouterr()
+    labels = tmp_path / "labels.txt"
+    labels.write_text(text)
+    out = tmp_path / "ev"
+    rc = run(["eval", "--truth", synth_dir, "--fit", fit, "--labels", labels, "--out", out])
+    assert rc == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and "labels.txt" in lines[0]
+    assert f"{count} labels for the 15 rows" in lines[0]
+    assert not out.exists()

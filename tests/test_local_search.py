@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -18,8 +19,9 @@ from sparse_aa import (
     swap_refit,
     synth_instance,
 )
+from sparse_aa.local_search import _reduced_lsq
 from sparse_aa.solver import grad_H
-from oracles import golden_section_min
+from oracles import golden_section_min, swap_refit_oracle
 
 
 def feasible_fac(rng, m=6, k=2, n=4, ell=5):
@@ -262,3 +264,107 @@ def test_local_search_under_budget_uses_entering_only():
         if nnz(fac.H) < cfg.ell:
             assert swap.leaving is None
         break
+
+
+def row_stochastic(rng, rows, cols):
+    M = rng.uniform(size=(rows, cols))
+    return M / M.sum(axis=1, keepdims=True)
+
+
+def reduced_lsq_cases():
+    """(Y, B) pairs of both fits: W fits Y = X to B = H, Wt fits Y = H to
+    B = X."""
+    rng = np.random.default_rng(21)
+    cases = {}
+    for m, n, k in [(7, 5, 2), (12, 30, 4), (40, 300, 5)]:
+        X, H = rng.uniform(size=(m, n)), rng.uniform(size=(k, n))
+        cases[f"random-W-{m}x{n}x{k}"] = (X, H)
+        cases[f"random-Wt-{m}x{n}x{k}"] = (H, X)
+    X, H = rng.uniform(size=(9, 6)), np.tile(rng.uniform(size=(1, 6)), (3, 1))
+    cases["duplicate-rows-W"] = (X, H)  # rank-1 H: R is singular
+    cases["duplicate-rows-Wt"] = (H, X)
+    H = rng.uniform(size=(3, 6))
+    H[1] = 0.0
+    cases["zero-row-W"] = (X, H)
+    cases["zero-row-Wt"] = (H, X)
+    X, H = rng.uniform(size=(8, 3)), rng.uniform(size=(5, 3))
+    cases["n-below-k-W"] = (X, H)
+    X, H = rng.uniform(size=(10, 4)), rng.uniform(size=(3, 4))
+    cases["n-below-m-Wt"] = (H, X)
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(reduced_lsq_cases()))
+def test_reduced_lsq_matches_residual_form(name):
+    Y, B = reduced_lsq_cases()[name]
+    f, grad = _reduced_lsq(Y, B)
+    rng = np.random.default_rng(22)
+    for _ in range(3):
+        M = row_stochastic(rng, Y.shape[0], B.shape[0])
+        R = Y - M @ B
+        f_ref = float(np.sum(R * R))
+        g_ref = -2.0 * R @ B.T
+        assert abs(f(M) - f_ref) <= 1e-12 * f_ref
+        assert np.linalg.norm(grad(M) - g_ref) <= 1e-12 * np.linalg.norm(g_ref)
+
+
+@pytest.mark.parametrize("name", sorted(reduced_lsq_cases()))
+def test_reduced_lsq_exact_fit_is_near_zero(name):
+    # both terms are sums of squares: no cancellation as f goes to 0
+    _, B = reduced_lsq_cases()[name]
+    rng = np.random.default_rng(23)
+    M = row_stochastic(rng, 6, B.shape[0])
+    Y = M @ B
+    f, _ = _reduced_lsq(Y, B)
+    assert 0.0 <= f(M) <= 1e-20 * float(np.sum(Y * Y))
+
+
+def swap_refit_case(name):
+    """(X, fac, lam, leaving) of one proposal; the entering coordinate is
+    ``select_entering``'s."""
+    rng = np.random.default_rng(24)
+    if name == "random":
+        fac = feasible_fac(rng, m=6, k=2, n=4, ell=5)
+        return rng.uniform(size=(6, 4)), fac, 0.7, select_leaving(fac.H)
+    if name == "identical-rows":
+        X, *_ = synth_instance(20, 10, 3, 0.1, seed=7)
+        fac, _ = solve(X, None, SaaConfig(k=3, ell=15, lam=1.0, max_iter=500))
+        assert len({tuple(row) for row in fac.H}) == 1
+        return X, fac, 1.0, select_leaving(fac.H)
+    X, *_ = synth_instance(12, 30, 4, 0.1, seed=3)  # under budget: nothing leaves
+    return X, feasible_fac(rng, m=12, k=4, n=30, ell=40), 0.5, None
+
+
+@pytest.mark.parametrize("name", ["random", "identical-rows", "under-budget"])
+def test_swap_refit_matches_residual_form_oracle(name):
+    X, fac, lam, leaving = swap_refit_case(name)
+    entering = select_entering(X, fac, lam)
+    stats = {}
+    out, psi = swap_refit(X, fac, lam, leaving, entering, stats=stats)
+    H, W, Wt, t_star, psi_ref, inner = swap_refit_oracle(X, fac, lam, leaving, entering)
+    assert stats["inner_iterations"] == inner
+    assert np.abs(out.W - W).max() <= 1e-9
+    assert np.abs(out.Wt - Wt).max() <= 1e-9
+    assert abs(out.H[entering] - t_star) <= 1e-9
+    assert abs(psi - psi_ref) <= 1e-12 * psi_ref
+    assert np.array_equal(out.H != 0.0, H != 0.0)
+
+
+def test_local_search_accepts_the_oracle_swap_sequence(monkeypatch):
+    X, *_ = synth_instance(23, 10, 3, 0.1, seed=0)
+    cfg = SaaConfig(k=3, ell=15, lam=tuple(np.geomspace(30.0, 1.0, 4)),
+                    max_iter=2_000, tol_stationary=1e-5)
+    fac, _ = solve(X, None, cfg)
+    _, n_swaps, log = local_search(X, fac, cfg)
+
+    def oracle_refit(X, fac, lam, leaving, entering, stats=None):
+        H, W, Wt, _, psi, _ = swap_refit_oracle(X, fac, lam, leaving, entering)
+        return Factorization(H=H, W=W, Wt=Wt), psi
+
+    ls_mod = importlib.import_module("sparse_aa.local_search")
+    monkeypatch.setattr(ls_mod, "swap_refit", oracle_refit)
+    _, n_ref, log_ref = local_search(X, fac, cfg)
+    assert n_swaps == n_ref >= 3
+    assert [(s.leaving, s.entering) for s in log] == [
+        (s.leaving, s.entering) for s in log_ref
+    ]
