@@ -113,8 +113,11 @@ def eval_F(
     Xm = as_matrix(X, "X")
     k, n = Zm.shape
     m = Xm.shape[0]
-    if Xm.shape[1] != n:
-        raise InvalidInputError("eval_F: Z and X column counts differ")
+    if m == 0 or Xm.shape[1] != n:
+        raise InvalidInputError("eval_F: X needs rows, and as many columns as Z")
+    for name, start, shape in (("h0", h0, (k, n)), ("wt0", wt0, (k, m))):
+        if start is not None and np.shape(start) != shape:
+            raise InvalidInputError(f"eval_F: {name} must be {shape[0]} x {shape[1]}")
     if np.any(Zm < -1e-12) or np.any(Zm > 1.0 + 1e-12):
         raise InvalidInputError("eval_F: pattern entries must lie in [0, 1]")
     if ell is not None and Zm.sum() > ell + 1e-9:

@@ -12,6 +12,11 @@ steps on plain arrays: each returns the new block and its Lipschitz
 constant, and none validates its input: ``solve``, ``objective``,
 ``stationarity_residual`` and ``continuation`` do that once at the boundary.
 
+``solve`` reports how it stopped, not whether its result is stationary.
+The certificate is ``stationarity_residual``: one sweep at the final
+penalty from a given factorization.  The CLI takes it once, from the
+factorization it writes, after local search when that runs.
+
 ``solve`` adds inertia in the style of iPALM (Pock & Sabach, SIAM J.
 Imaging Sci. 2016): each sweep after the first starts from the extrapolated
 point ``B + beta (B - B_prev)`` of every block, with the FISTA weight
@@ -55,7 +60,8 @@ class ObjectiveBreakdown:
 
 @dataclass
 class SolveTrace:
-    """Per-sweep objective values and step sizes of one solve."""
+    """Per-sweep objective values and step sizes of one solve, and whether it
+    stopped on its tolerances; ``stationarity_residual`` certifies a result."""
 
     objectives: list[float] = field(default_factory=list)
     fits: list[float] = field(default_factory=list)
@@ -63,8 +69,6 @@ class SolveTrace:
     step_sizes: list[tuple[float, float, float]] = field(default_factory=list)
     iterations: int = 0
     converged: bool = False
-    stationarity_residual: float = float("nan")
-    boundary_tie: bool = False
 
     def rows(self) -> list[tuple[int, float, float, float]]:
         return [
@@ -117,14 +121,10 @@ def _h_target_raw(X, H, W, lam, l1, wtx):
     return np.maximum(H - (-(W.T @ (X - W @ H)) + lam * (H - wtx)) / l1, 0.0)
 
 
-def step_H(X, H, W, Wt, lam, ell, wtx=None):
-    """Proximal descent step on H: clamp the gradient step, then keep the
-    top ``ell`` entries.  Returns ``(H1, L1)`` with ``L1 = 2 (lam + ||W||^2)``.
-
-    ``wtx = Wt X`` is computed when not given.
-    """
-    if wtx is None:
-        wtx = Wt @ X
+def step_H(X, H, W, lam, ell, wtx):
+    """Proximal descent step on H, given ``wtx = Wt X``: clamp the gradient
+    step, then keep the top ``ell`` entries.  Returns ``(H1, L1)`` with
+    ``L1 = 2 (lam + ||W||^2)``."""
     sw = _spectral_norm_raw(W)
     l1 = 2.0 * (lam + sw * sw)
     return _topk_raw(_h_target_raw(X, H, W, lam, l1, wtx), ell), l1
@@ -138,16 +138,14 @@ def step_W(X, H, W):
     return _simplex_rows_raw(W + ((X - W @ H) @ H.T) / l2), l2
 
 
-def step_Wt(X, H, Wt, lam, smax_x, wtx=None):
-    """Projected descent step on Wt; returns ``(Wt1, L3)`` with
-    ``L3 = 2 lam ||X||^2``.  ``L3 == 0`` (``lam == 0`` or ``X == 0``) makes
-    the block's objective constant, so ``Wt`` is returned unchanged.
-    ``wtx = Wt X`` is computed when not given."""
+def step_Wt(X, H, Wt, lam, smax_x, wtx):
+    """Projected descent step on Wt, given ``wtx = Wt X``; returns
+    ``(Wt1, L3)`` with ``L3 = 2 lam ||X||^2``.  ``L3 == 0`` (``lam == 0`` or
+    ``X == 0``) makes the block's objective constant, so ``Wt`` is returned
+    unchanged."""
     l3 = 2.0 * lam * smax_x * smax_x
     if l3 == 0.0:
         return Wt.copy(), l3
-    if wtx is None:
-        wtx = Wt @ X
     return _simplex_rows_raw(Wt + (lam / l3) * ((H - wtx) @ X.T)), l3
 
 
@@ -164,7 +162,7 @@ def default_init(X, cfg: SaaConfig) -> Factorization:
 def _sweep_raw(X, H, W, Wt, lam, ell, smax_x):
     """One H, W, Wt sweep; the H-step and the Wt-step share ``Wt X``."""
     wtx = Wt @ X
-    H1, l1 = step_H(X, H, W, Wt, lam, ell, wtx)
+    H1, l1 = step_H(X, H, W, lam, ell, wtx)
     W1, l2 = step_W(X, H1, W)
     Wt1, l3 = step_Wt(X, H1, Wt, lam, smax_x, wtx)
     return H1, W1, Wt1, (l1, l2, l3)
@@ -253,30 +251,22 @@ def solve(
             trace.converged = True
             break
 
-    out = Factorization(H=H, W=W, Wt=Wt)
-    report = stationarity_residual(Xm, out, cfg, lam=lam)
-    trace.stationarity_residual = report.residual
-    trace.boundary_tie = report.boundary_tie
-    return out, trace
+    return Factorization(H=H, W=W, Wt=Wt), trace
 
 
-def stationarity_residual(
-    X,
-    fac: Factorization,
-    cfg: SaaConfig,
-    lam: float | None = None,
-) -> StationarityReport:
-    """Apply one full sweep from ``fac`` and measure the largest block change.
+def stationarity_residual(X, fac: Factorization, cfg: SaaConfig) -> StationarityReport:
+    """Apply one full sweep at ``cfg.final_lambda`` from ``fac`` and measure
+    the largest block change.
 
     A zero residual means ``fac`` is a fixed point of the sweep map.  Also
     reports whether the clamped H-step target has a magnitude tie at the
     sparsity boundary, in which case the thresholded update is not unique.
     """
     Xm = as_matrix(X, "X")
-    if lam is None:
-        lam = cfg.final_lambda
-    if lam <= 0:
-        raise InvalidInputError("stationarity_residual: lam must be positive")
+    (m, n), k = Xm.shape, cfg.k
+    if (fac.H.shape, fac.W.shape, fac.Wt.shape) != ((k, n), (m, k), (k, m)):
+        raise InvalidInputError("stationarity_residual: shapes of X, k and fac differ")
+    lam = cfg.final_lambda
     smax_x = _spectral_norm_raw(Xm)
     H1, W1, Wt1, (l1, _, _) = _sweep_raw(Xm, fac.H, fac.W, fac.Wt, lam, cfg.ell, smax_x)
     residual = max(

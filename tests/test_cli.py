@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparse_aa import read_matrix_csv
+from sparse_aa import Factorization, SaaConfig, read_matrix_csv, stationarity_residual
 from sparse_aa.cli import main, parse_lambda
 
 
@@ -104,6 +104,24 @@ def test_fit_zero_init_and_local_search(synth_dir, tmp_path):
     assert summary["init"] == "zero"
     assert summary["local_search"] is True
     assert summary["mip"] is None
+
+
+@pytest.mark.parametrize("init", ["mip", "zero"])
+def test_fit_summary_certifies_the_written_factorization(tmp_path, init):
+    # the README data and fit: local search accepts swaps after the last
+    # continuation solve, so only a certificate of the written H, W, Wt holds
+    data, out = tmp_path / "data", tmp_path / "fit"
+    assert run(["synth", "--m", 20, "--n", 10, "--k", 3, "--sigma-z", 0.1,
+                "--seed", 7, "--out", data]) == 0
+    assert run(["fit", "--data", data / "X.csv", "--k", 3, "--ell", 15, "--init", init,
+                "--oa-rounds", 3, "--local-search", "on", "--out", out]) == 0
+    summary = read_json(out / "summary.json")
+    assert summary["swaps_accepted"] > 0
+    fac = Factorization(*(read_matrix_csv(out / f"{name}.csv") for name in ("H", "W", "Wt")))
+    cfg = SaaConfig(k=3, ell=15, lam=parse_lambda("log:30:1:8"))
+    rep = stationarity_residual(read_matrix_csv(data / "X.csv"), fac, cfg)
+    assert summary["stationarity_residual"] == rep.residual
+    assert summary["boundary_tie"] is rep.boundary_tie
 
 
 @pytest.mark.parametrize("init", ["mip", "zero"])

@@ -86,6 +86,13 @@ def test_eval_F_rejects_bad_patterns():
         eval_F(np.full((2, 3), 2.0), X, b)  # entries above 1
     with pytest.raises(InvalidInputError):
         eval_F(np.ones((2, 3)), X, b, ell=3)  # budget exceeded
+    # starts that are not k x m (wt0) or k x n (h0), and an X with no rows
+    with pytest.raises(InvalidInputError):
+        eval_F(np.ones((2, 3)), X, b, wt0=np.full((2, 4), 0.25))
+    with pytest.raises(InvalidInputError):
+        eval_F(np.ones((2, 3)), X, b, h0=np.zeros((3, 3)))
+    with pytest.raises(InvalidInputError):
+        eval_F(np.ones((2, 3)), np.zeros((0, 3)), b)
 
 
 def test_eval_F_restart_invariance():

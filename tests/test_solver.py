@@ -140,12 +140,12 @@ def rel_err(a, b):
 def test_step_H_fixed_point_and_feasibility():
     rng = np.random.default_rng(1)
     X, fac = exact_point(rng)
-    out, _ = step_H(X, fac.H, fac.W, fac.Wt, 1.5, nnz(fac.H))
+    out, _ = step_H(X, fac.H, fac.W, 1.5, nnz(fac.H), fac.Wt @ X)
     np.testing.assert_allclose(out, fac.H, atol=1e-12)
 
     fac2 = random_feasible(rng)
     X2 = rng.uniform(size=(5, 4))
-    out2, _ = step_H(X2, fac2.H, fac2.W, fac2.Wt, 1.0, 6)
+    out2, _ = step_H(X2, fac2.H, fac2.W, 1.0, 6, fac2.Wt @ X2)
     assert np.all(out2 >= 0.0)
     assert nnz(out2) <= 6
 
@@ -169,14 +169,17 @@ def test_step_Wt_fixed_point_and_lambda_zero():
     rng = np.random.default_rng(3)
     X, fac = exact_point(rng)
     sx = spectral_norm(X)
-    np.testing.assert_allclose(step_Wt(X, fac.H, fac.Wt, 1.0, sx)[0], fac.Wt, atol=1e-9)
+    np.testing.assert_allclose(
+        step_Wt(X, fac.H, fac.Wt, 1.0, sx, fac.Wt @ X)[0], fac.Wt, atol=1e-9
+    )
 
     fac2 = random_feasible(rng)
     X2 = rng.uniform(size=(5, 4))
     sx2 = spectral_norm(X2)
-    np.testing.assert_array_equal(step_Wt(X2, fac2.H, fac2.Wt, 0.0, sx2)[0], fac2.Wt)
+    wtx2 = fac2.Wt @ X2
+    np.testing.assert_array_equal(step_Wt(X2, fac2.H, fac2.Wt, 0.0, sx2, wtx2)[0], fac2.Wt)
     before = objective(X2, fac2, 2.0)
-    Wt_new, _ = step_Wt(X2, fac2.H, fac2.Wt, 2.0, sx2)
+    Wt_new, _ = step_Wt(X2, fac2.H, fac2.Wt, 2.0, sx2, wtx2)
     after = objective(X2, Factorization(H=fac2.H, W=fac2.W, Wt=Wt_new), 2.0)
     assert after.reg <= before.reg + 1e-12
 
@@ -229,6 +232,16 @@ def test_stationarity_residual_zero_and_positive():
     X2 = rng.uniform(size=(5, 4)) * 3.0
     rep2 = stationarity_residual(X2, moving, SaaConfig(k=3, ell=8, lam=1.0))
     assert rep2.residual > 1e-6
+
+    # X is 6 x 4 and cfg.k = 3: a 5-column H, a 7-row W, or a k = 2
+    # factorization is invalid input, not a broadcast error or a residual
+    for bad in (
+        Factorization(H=np.hstack([fac.H, fac.H[:, :1]]), W=fac.W, Wt=fac.Wt),
+        Factorization(H=fac.H, W=np.vstack([fac.W, fac.W[:1]]), Wt=fac.Wt),
+        Factorization(H=fac.H[:2], W=np.full((6, 2), 0.5), Wt=np.full((2, 6), 1 / 6)),
+    ):
+        with pytest.raises(InvalidInputError):
+            stationarity_residual(X, bad, cfg)
 
 
 def test_solve_deterministic():
@@ -303,7 +316,7 @@ def test_solve_matches_sweep_loop_oracle_bit_for_bit(make):
     assert trace.iterations == len(objectives) - 1
     # with tolerances of 1e-300 only an exact fixed point (no block moves)
     # stops before the cap; the tie instance reaches one after 201 sweeps
-    assert trace.iterations == 300 or trace.stationarity_residual == 0.0
+    assert trace.iterations == 300 or stationarity_residual(X, fac, cfg).residual == 0.0
     assert trace.objectives == objectives
     assert trace.step_sizes == steps
     assert fac.H.tobytes() == H.tobytes()
