@@ -147,7 +147,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
             backend=None
             if args.oa_node_cap is None
             else BranchAndBound(node_cap=args.oa_node_cap),
-            time_budget=args.time_budget,
         )
         timings["mip_init"] = time.monotonic() - t0
         t0 = time.monotonic()
@@ -328,13 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--max-swaps", dest="max_swaps", type=int, default=100)
     pf.add_argument("--oa-rounds", dest="oa_rounds", type=int, default=50)
     pf.add_argument("--oa-node-cap", dest="oa_node_cap", type=int, default=None)
-    pf.add_argument(
-        "--time-budget",
-        dest="time_budget",
-        type=float,
-        default=None,
-        help="outer-approximation wall-clock budget in seconds",
-    )
     pf.add_argument("--out", required=True)
     pf.set_defaults(func=cmd_fit)
 

@@ -10,15 +10,12 @@ Z (H box-constrained entrywise to [0, sqrt(b) Z]), ``subgradient_F``
 produces a valid cut from the inner minimizers, and ``outer_approximation``
 alternates evaluation with an exact cut-based master problem.  The master
 is a small MILP solved by ``BranchAndBound``, an exact depth-first search
-that an optional node cap turns into a bounded one.  A master whose pattern
-would never be evaluated, because the round limit ends the loop, runs only
-when its bound might still raise the certified lower bound.
+that an optional node cap turns into a bounded one.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -223,7 +220,7 @@ class BranchAndBound:
         budget = int(min(ell, N))
 
         impact = -G.sum(axis=0)
-        free0 = _free_variables(G)
+        free0 = np.flatnonzero(impact > 0.0)
         # the node at depth d has order[d:] free; bounds and completions read
         # that set in ascending index order, as free0 lists it
         perm = np.argsort(-impact[free0], kind="stable")
@@ -255,7 +252,7 @@ class BranchAndBound:
 
         def consider(ones: np.ndarray) -> None:
             nonlocal best_val, best_ones
-            val = _leaf_value(offs, G, ones)
+            val = float((offs + G[:, ones].sum(axis=1)).max())
             if val < best_val or (
                 val == best_val
                 and best_ones is not None
@@ -264,8 +261,12 @@ class BranchAndBound:
                 best_val = val
                 best_ones = ones.copy()
 
-        for ones in _start_patterns(G, free0, budget):
-            consider(ones)
+        # start from each cut's greedy pattern over the free variables, then
+        # from the all-zeros pattern, which is always feasible
+        zeros = np.zeros(N, dtype=bool)
+        for i in range(len(offs)):
+            consider(_greedy_completion(G, zeros, free0, budget, i))
+        consider(zeros)
 
         fixed1 = np.zeros(N, dtype=bool)
         base0 = offs.copy()
@@ -324,17 +325,6 @@ class BranchAndBound:
         )
 
 
-def _free_variables(G: np.ndarray) -> np.ndarray:
-    """Ascending indices of the variables some cut can lower; the rest are
-    fixed to zero."""
-    return np.flatnonzero(-G.sum(axis=0) > 0.0)
-
-
-def _leaf_value(offs: np.ndarray, G: np.ndarray, ones: np.ndarray) -> float:
-    """Cut-model value of the pattern whose ones are the mask ``ones``."""
-    return float((offs + G[:, ones].sum(axis=1)).max())
-
-
 def _greedy_completion(
     G: np.ndarray, fixed1: np.ndarray, free_idx: np.ndarray, room: int, i: int
 ) -> np.ndarray:
@@ -349,14 +339,6 @@ def _greedy_completion(
         take = free_idx[pick[vals[pick] < 0.0]]
         ones[take] = True
     return ones
-
-
-def _start_patterns(G: np.ndarray, free0: np.ndarray, budget: int) -> list[np.ndarray]:
-    """The incumbents the search starts from: each cut's greedy pattern over
-    the free variables, then the all-zeros pattern, which is always feasible."""
-    zeros = np.zeros(G.shape[1], dtype=bool)
-    greedy = [_greedy_completion(G, zeros, free0, budget, i) for i in range(len(G))]
-    return greedy + [zeros]
 
 
 def _lex_smaller(a: np.ndarray, b: np.ndarray) -> bool:
@@ -381,31 +363,10 @@ def milp_min_cuts(
         raise InvalidInputError("milp_min_cuts: cut set is empty")
     if backend is None:
         backend = BranchAndBound()
-    sol = backend.minimize_cuts(*_cut_arrays(cut_list), (k, n), ell)
-    return sol.Z, sol.eta
-
-
-def _cut_arrays(cut_list: list[Cut]) -> tuple[np.ndarray, np.ndarray]:
-    """Offsets and stacked flat gradients of the cut model."""
     offsets = np.array([c.offset for c in cut_list], dtype=np.float64)
-    return offsets, np.stack([c.grad.ravel() for c in cut_list])
-
-
-def _master_cannot_lift(cutset: CutSet, ell: int) -> bool:
-    """Whether no master solve can raise ``cutset.best_lower``.
-
-    A master's ``eta`` is at most the model value of every pattern its
-    search starts from, so when the smallest of those values is already
-    at or below the bound, ``eta`` is too.  The values use the search's own
-    arithmetic, so the test is exact in floating point.
-    """
-    offs, G = _cut_arrays(cutset.cuts)
-    budget = int(min(ell, G.shape[1]))
-    start = min(
-        _leaf_value(offs, G, ones)
-        for ones in _start_patterns(G, _free_variables(G), budget)
-    )
-    return start <= cutset.best_lower
+    grads = np.stack([c.grad.ravel() for c in cut_list])
+    sol = backend.minimize_cuts(offsets, grads, (k, n), ell)
+    return sol.Z, sol.eta
 
 
 @dataclass
@@ -424,29 +385,21 @@ def outer_approximation(
     cfg: SaaConfig,
     max_rounds: int = 50,
     backend: BranchAndBound | None = None,
-    time_budget: float | None = None,
     inner_max_iter: int = 20_000,
 ) -> OaResult:
     """Alternate F evaluations and master solves until the optimality gap
-    closes, the master repeats a pattern, or a budget runs out.
+    closes, the master repeats a pattern, or ``max_rounds`` patterns have
+    been evaluated.
 
     The lower bound starts at zero (F is a squared norm) and only improves;
     the returned incumbent is the best pattern evaluated so far together
     with its inner minimizers, and ``rounds`` counts the patterns evaluated.
-    Each evaluation warm-starts from the incumbent's minimizers.
-
-    In the round that ``max_rounds`` ends, only the master's bound can
-    matter.  That bound is at most the model value of every pattern the
-    master's search starts from (each cut's greedy pattern and all zeros),
-    so when the smallest of those is at or below the current lower bound
-    the master is skipped: the certificate that it could not raise the
-    bound is computed with the search's own arithmetic, and every returned
-    field is what running it would give.
+    Each evaluation warm-starts from the incumbent's minimizers.  The last
+    round ends on its evaluation, so a run makes at most ``max_rounds - 1``
+    master solves.
     """
     if max_rounds < 1:
         raise InvalidInputError("outer_approximation: max_rounds must be at least 1")
-    if time_budget is not None and not time_budget >= 0:
-        raise InvalidInputError("outer_approximation: time_budget must be nonnegative")
     Xm = as_matrix(X, "X")
     k, ell = cfg.k, cfg.ell
     n = Xm.shape[1]
@@ -454,7 +407,7 @@ def outer_approximation(
         raise InvalidInputError("outer_approximation: ell exceeds k*n")
     if backend is None:
         # keep small master problems exact; cap the search at scale so one
-        # master solve cannot eat the whole budget
+        # master solve stays bounded
         backend = BranchAndBound(node_cap=None if k * n <= 64 else 20_000)
     b = norm_bound_b(Xm, k)
 
@@ -463,7 +416,6 @@ def outer_approximation(
     cutset = CutSet()
     best = None  # (value, H, Wt)
     seen: set[bytes] = set()
-    started = time.monotonic()
     converged = False
     for r in range(max_rounds):
         key = Z.astype(np.int8).tobytes()
@@ -480,11 +432,7 @@ def outer_approximation(
         if cutset.closed():
             converged = True
             break
-        if time_budget is not None and time.monotonic() - started > time_budget:
-            break
-        # the last master's pattern is never evaluated, so it runs only when
-        # its eta might still raise the bound
-        if r == max_rounds - 1 and _master_cannot_lift(cutset, ell):
+        if r == max_rounds - 1:
             break
         Z, eta = milp_min_cuts(cutset, k, n, ell, backend=backend)
         cutset.best_lower = min(max(cutset.best_lower, eta), cutset.best_upper)

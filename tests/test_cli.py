@@ -324,8 +324,6 @@ def test_fit_oa_rounds_zero_is_invalid_input(synth_dir, tmp_path, capsys):
     [
         ("--oa-node-cap", -1, "node_cap"),
         ("--max-swaps", -1, "max_swaps"),
-        ("--time-budget", -1, "time_budget"),
-        ("--time-budget", "nan", "time_budget"),
         ("--tol-objective", "nan", "tolerances"),
         ("--tol-stationary", "inf", "tolerances"),
     ],

@@ -54,31 +54,6 @@ def test_eval_F_all_zeros_is_k_times_origin_distance():
     assert np.all(H == 0.0)
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_eval_F_matches_convex_qp_solver(seed):
-    cvxpy = pytest.importorskip("cvxpy")
-    rng = np.random.default_rng(seed)
-    m, k, n = 4, 2, 3
-    X = rng.uniform(size=(m, n))
-    b = norm_bound_b(X, k)
-    Z = (rng.random((k, n)) < 0.5).astype(float)
-    val, H, Wt = eval_F(Z, X, b, ell=int(Z.sum()), tol=1e-13, max_iter=50_000)
-
-    Hv = cvxpy.Variable((k, n))
-    Wv = cvxpy.Variable((k, m))
-    prob = cvxpy.Problem(
-        cvxpy.Minimize(cvxpy.sum_squares(Hv - Wv @ X)),
-        [
-            Hv >= 0,
-            Hv <= math.sqrt(b) * Z,
-            Wv >= 0,
-            cvxpy.sum(Wv, axis=1) == 1,
-        ],
-    )
-    prob.solve(solver="CLARABEL")
-    assert val == pytest.approx(prob.value, rel=1e-6, abs=1e-8)
-
-
 def test_eval_F_rejects_bad_patterns():
     X = np.eye(3)
     b = norm_bound_b(X, 2)
@@ -422,6 +397,12 @@ def oa_exit_instance():
     return X, SaaConfig(k=2, ell=3, lam=1.0)
 
 
+def late_lift_instance():
+    # the ninth master is the first whose eta lifts the bound
+    X = np.random.default_rng(0).uniform(size=(4, 3))
+    return X, SaaConfig(k=2, ell=2, lam=1.0)
+
+
 def test_oa_exit_gap_closed_after_master():
     X, cfg = oa_exit_instance()
     backend = CountingBackend()
@@ -449,35 +430,17 @@ def test_oa_exit_repeated_pattern():
 
 
 def test_oa_exit_max_rounds_keeps_last_master_bound():
-    # on this instance the ninth master is the first to lift the bound
-    X = np.random.default_rng(0).uniform(size=(4, 3))
-    cfg = SaaConfig(k=2, ell=2, lam=1.0)
+    X, cfg = late_lift_instance()
     backend = CountingBackend()
-    res = outer_approximation(X, cfg, max_rounds=9, backend=backend)
+    res = outer_approximation(X, cfg, max_rounds=10, backend=backend)
     cs = res.cutset
     assert not res.converged
-    assert res.rounds == len(cs.cuts) == len(backend.solutions) == 9
+    assert res.rounds == len(cs.cuts) == 10
+    assert len(backend.solutions) == 9
     etas = [eta for _, eta in backend.solutions]
     assert max(etas[:-1]) <= 0.0 < etas[-1] < cs.best_upper
-    # the master of the last round still counts towards the reported bound
+    # the master's eta counts towards the reported bound
     assert cs.best_lower == etas[-1]
-
-
-def test_oa_exit_time_budget_zero():
-    X, cfg = oa_exit_instance()
-    backend = CountingBackend()
-    res = outer_approximation(X, cfg, max_rounds=100, backend=backend, time_budget=0.0)
-    assert not res.converged
-    assert res.rounds == len(res.cutset.cuts) == 1
-    assert backend.solutions == []
-    assert res.cutset.best_lower == 0.0
-
-
-@pytest.mark.parametrize("time_budget", [-1.0, float("nan")])
-def test_oa_rejects_negative_or_nan_time_budget(time_budget):
-    X, cfg = oa_exit_instance()
-    with pytest.raises(InvalidInputError, match="time_budget"):
-        outer_approximation(X, cfg, time_budget=time_budget)
 
 
 def test_branch_and_bound_rejects_negative_node_cap():
@@ -493,17 +456,20 @@ def test_oa_rejects_max_rounds_below_one(max_rounds):
         outer_approximation(X, cfg, max_rounds=max_rounds)
 
 
-def test_oa_exit_max_rounds_skips_master_that_cannot_lift():
-    # the bound stays 0 on this instance, so the third master, whose pattern
-    # max_rounds would discard, cannot change the result and is not run
-    X, cfg = oa_exit_instance()
+def test_oa_last_round_ends_on_its_evaluation():
+    # the ninth master would lift the bound, but the round that max_rounds
+    # ends runs no master
+    X, cfg = late_lift_instance()
     backend = CountingBackend()
-    res = outer_approximation(X, cfg, max_rounds=3, backend=backend)
-    cs = res.cutset
+    res = outer_approximation(X, cfg, max_rounds=9, backend=backend)
     assert not res.converged
-    assert res.rounds == len(cs.cuts) == 3
-    assert len(backend.solutions) == res.rounds - 1
-    assert cs.best_lower == 0.0
-    # the skipped master would not have lifted the bound either
-    _, eta = milp_min_cuts(cs, cfg.k, X.shape[1], cfg.ell)
-    assert eta <= cs.best_lower
+    assert res.rounds == len(res.cutset.cuts) == 9
+    assert len(backend.solutions) == 8
+    assert res.cutset.best_lower == 0.0
+    X, cfg = oa_exit_instance()
+    for max_rounds in (1, 2, 3):
+        backend = CountingBackend()
+        res = outer_approximation(X, cfg, max_rounds=max_rounds, backend=backend)
+        assert not res.converged
+        assert res.rounds == len(res.cutset.cuts) == max_rounds
+        assert len(backend.solutions) == res.rounds - 1
