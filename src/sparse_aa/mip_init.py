@@ -15,6 +15,7 @@ that an optional node cap turns into a bounded one.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -34,6 +35,10 @@ from .solver import SolveTrace, default_init, solve, step_W
 _F_ABS_STOP = 1e-22
 _GAP_REL = 1e-6  # relative gap that counts as closed
 _GAP_ABS = 1e-9  # absolute gap that counts as closed when F is near zero
+# tolerance floors of the warm-start solves before the last continuation λ;
+# looser floors (1e-6, 1e-3) raised criterion 9's weak distance
+_WARM_TOL_OBJECTIVE = 1e-8
+_WARM_TOL_STATIONARY = 1e-4
 
 
 @dataclass(frozen=True)
@@ -198,7 +203,9 @@ class BranchAndBound:
     variable, so the free set of a node depends only on its depth: the
     branching order is sorted once (stably, which keeps the first-maximum
     rule), and each greedy bound sum is computed once per (depth, remaining
-    budget) within a call.
+    budget) within a call.  The greedy completion of a node's one-child is
+    skipped when that child's bound already exceeds the incumbent by more
+    than a rounding slack, since it cannot win.
     """
 
     def __init__(self, node_cap: int | None = None):
@@ -249,6 +256,12 @@ class BranchAndBound:
 
         best_val = math.inf
         best_ones: np.ndarray | None = None
+        # a bound and a leaf value each sum at most N + 1 terms of one cut, so
+        # a completion's computed value is at least its computed bound minus
+        # this, and a completion whose bound exceeds best_val by more cannot win
+        slack = 4 * (N + 2) * np.finfo(np.float64).eps * float(
+            (np.abs(offs) + np.abs(G).sum(axis=1)).max()
+        )
 
         def consider(ones: np.ndarray) -> None:
             nonlocal best_val, best_ones
@@ -298,14 +311,16 @@ class BranchAndBound:
             f1_one[j] = True
             base_one = base + G[:, j]
             room_one = room - 1
-            consider(
-                _greedy_completion(
-                    G, f1_one, free_at(depth + 1), room_one, int(base_one.argmax())
+            bound_one = node_bound(base_one, depth + 1, room_one)
+            if bound_one <= best_val + slack:
+                consider(
+                    _greedy_completion(
+                        G, f1_one, free_at(depth + 1), room_one, int(base_one.argmax())
+                    )
                 )
-            )
             children = [
                 (node_bound(base, depth + 1, room), f1, base, room, 0),
-                (node_bound(base_one, depth + 1, room_one), f1_one, base_one, room_one, 1),
+                (bound_one, f1_one, base_one, room_one, 1),
             ]
             # pop order is LIFO: push the worse-bound child first (ties: the
             # one-child first so the zero-child is explored first)
@@ -460,7 +475,10 @@ def continuation(
     ``outer_approximation(X, cfg)``.
 
     The initial W is one projected descent step from uniform rows against
-    the incumbent archetypes.
+    the incumbent archetypes.  Only the last λ's solution is returned, so
+    every earlier λ is a warm start: it stops at the tolerances of ``cfg``
+    loosened to at least ``_WARM_TOL_OBJECTIVE`` and
+    ``_WARM_TOL_STATIONARY``, and the last λ uses those of ``cfg``.
     """
     Xm = as_matrix(X, "X")
     sched = cfg.lambda_schedule
@@ -472,8 +490,13 @@ def continuation(
     W = np.full((m, cfg.k), 1.0 / cfg.k)
     fac = Factorization(H=oa.H.copy(), W=W, Wt=oa.Wt.copy())
     fac.W, _ = step_W(Xm, fac.H, fac.W)
+    # a copy, not dataclasses.replace, which reruns __post_init__ and its
+    # ell < k warning
+    warm = copy.copy(cfg)
+    warm.tol_objective = max(cfg.tol_objective, _WARM_TOL_OBJECTIVE)
+    warm.tol_stationary = max(cfg.tol_stationary, _WARM_TOL_STATIONARY)
     traces: list[SolveTrace] = []
-    for lam in sched:
-        fac, trace = solve(Xm, fac, cfg, lam=lam)
+    for i, lam in enumerate(sched):
+        fac, trace = solve(Xm, fac, cfg if i == len(sched) - 1 else warm, lam=lam)
         traces.append(trace)
     return fac, traces

@@ -220,6 +220,15 @@ def test_fit_warns_when_continuation_hits_max_iter(synth_dir, tmp_path, capsys):
     assert read_json(out / "summary.json")["converged"] is False
 
 
+def test_fit_ell_below_k_warns_once_at_the_cli(synth_dir, tmp_path):
+    # continuation's warm-start config must not rebuild the config and warn again
+    with pytest.warns(UserWarning) as record:
+        assert run(fit_args(synth_dir, tmp_path / "f", **{"--k": 3, "--ell": 2})) == 0
+    ell_warnings = [w for w in record if "ell < k" in str(w.message)]
+    assert len(ell_warnings) == 1
+    assert Path(ell_warnings[0].filename).name == "cli.py"
+
+
 def test_fit_default_node_cap_defers_to_library(synth_dir, tmp_path, monkeypatch):
     import sparse_aa.cli as cli
 

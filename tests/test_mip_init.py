@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 
@@ -21,6 +22,7 @@ from sparse_aa import (
     subgradient_F,
     synth_instance,
 )
+import sparse_aa.mip_init as mip_init
 from sparse_aa.cli import zero_init
 from oracles import branch_and_bound_oracle, milp_enum_oracle
 
@@ -377,6 +379,37 @@ def test_continuation_output_feasible():
     fac.validate(cfg.ell)
     assert len(traces) == 4
     assert nnz(fac.H) <= cfg.ell
+
+
+@pytest.mark.parametrize(
+    "lam, tols, expected",
+    [
+        # tighter than the floors: the warm starts loosen, the last λ does not
+        ((30.0, 10.0, 3.0, 1.0), (1e-11, 1e-7), [(1e-8, 1e-4)] * 3 + [(1e-11, 1e-7)]),
+        # looser than the floors: every λ keeps the config's tolerances
+        ((30.0, 10.0, 3.0, 1.0), (1e-6, 1e-3), [(1e-6, 1e-3)] * 4),
+        # one λ is the last one
+        (1.0, (1e-11, 1e-7), [(1e-11, 1e-7)]),
+    ],
+)
+def test_continuation_warm_starts_stop_at_tolerance_floors(monkeypatch, lam, tols, expected):
+    calls = []
+    real_solve = mip_init.solve
+
+    def recording_solve(X, init, cfg, lam=None):
+        calls.append((lam, cfg.tol_objective, cfg.tol_stationary))
+        return real_solve(X, init, cfg, lam=lam)
+
+    monkeypatch.setattr(mip_init, "solve", recording_solve)
+    X, *_ = synth_instance(10, 6, 2, 0.1, seed=31)
+    cfg = SaaConfig(
+        k=2, ell=6, lam=lam, tol_objective=tols[0], tol_stationary=tols[1], max_iter=50
+    )
+    before = copy.copy(cfg)
+    continuation(X, cfg, oa=outer_approximation(X, cfg, max_rounds=1))
+    assert [c[0] for c in calls] == list(cfg.lambda_schedule)
+    assert [c[1:] for c in calls] == expected
+    assert cfg == before
 
 
 class CountingBackend(BranchAndBound):
