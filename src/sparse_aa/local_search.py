@@ -9,11 +9,21 @@ rejected state would re-propose the same pair forever.
 
 Both weight fits minimize f(M) = ||Y - M B||^2 with B fixed for the fit
 (W: Y = X, B = H; Wt: Y = H, B = X).  They run in the reduced space of a
-QR factorization B^T = Q R taken once per fit: f(M) = c + ||Y Q - M R^T||^2
-with c = ||Y - (Y Q) Q^T||^2, an exact orthogonal split into two sums of
+QR factorization B^T = Q R: f(M) = c + ||Y Q - M R^T||^2 with
+c = ||Y - (Y Q) Q^T||^2, an exact orthogonal split into two sums of
 squares.  For an m x n X and k archetypes an evaluation of f or of its
 gradient costs O(m k^2) in the W fit and O(k m^2) in the Wt fit, instead
 of the O(m k n) of forming the m x n residual.
+
+The fits step in the tangent space of the simplex.  Every iterate and
+extrapolated point keeps unit row sums, so only the curvature along
+row-sum-zero directions matters: the step is 1/L with
+L = 2 ||B - mean row of B||^2, not 2 ||B||^2, and the gradient drops its
+component along the all-ones direction, which the simplex projection
+ignores anyway (-2 (Y - M B) (B - mean row)^T).  The set of minimizers is
+unchanged.  X is fixed for a whole search, so the Wt fit's QR of X^T, its
+centered R and its step constant are taken once per ``local_search``, not
+once per refit.
 """
 
 from __future__ import annotations
@@ -30,7 +40,6 @@ from .core import (
     SaaConfig,
     as_matrix,
     nnz,
-    spectral_norm,
 )
 from .projections import _simplex_rows_raw
 from .solver import grad_H, objective
@@ -94,37 +103,61 @@ def optimal_t(X, H_minus, W, Wt, lam: float, i2: int, j2: int) -> float:
     return max(num / den, 0.0)
 
 
-def _reduced_lsq(Y, B):
-    """``f(M) = ||Y - M B||^2`` and its gradient through a QR of ``B^T``.
+def _fixed_factor(B):
+    """The pieces of a weight fit against ``B`` that do not depend on ``Y``.
 
-    With the reduced factorization ``B^T = Q R``, the part of ``Y`` outside
-    the span of ``Q`` is fixed, so ``f(M) = c + ||Y Q - M R^T||^2`` and
-    ``grad f(M) = -2 (Y Q - M R^T) R`` with ``c = ||Y - (Y Q) Q^T||^2``.
-    Both terms are sums of squares, so ``f`` keeps its relative accuracy as
-    it goes to 0, and a rank-deficient ``B`` needs no special case.
+    Returns ``(Q, R, Rc, lipschitz)``: the reduced QR factorization
+    ``B^T = Q R``, ``R`` with each row's mean taken out (``Rc``, so that
+    ``Q Rc`` is ``(B - mean row of B)^T``), and the step constant
+    ``2 ||Rc||_2^2 = 2 ||B - mean row of B||_2^2``.  That norm comes from
+    an SVD of the small ``Rc``, not from ``spectral_norm``, whose power
+    iteration starts from the all-ones vector, which ``Rc`` maps to 0.  The
+    constant is 0 when all rows of ``B`` coincide, which rounding in ``Rc``
+    would hide.
     """
     Q, R = np.linalg.qr(B.T)
+    Rc = R - R.mean(axis=1, keepdims=True)
+    smax = 0.0 if (B == B[0]).all() else float(np.linalg.norm(Rc, 2))
+    return Q, R, Rc, 2.0 * smax * smax
+
+
+def _reduced_lsq(Y, B, fixed=None):
+    """``f(M) = ||Y - M B||^2`` and its gradient along the simplex through a
+    QR of ``B^T``.
+
+    With the reduced factorization ``B^T = Q R``, the part of ``Y`` outside
+    the span of ``Q`` is fixed, so ``f(M) = c + ||Y Q - M R^T||^2`` with
+    ``c = ||Y - (Y Q) Q^T||^2``.  Both terms are sums of squares, so ``f``
+    keeps its relative accuracy as it goes to 0, and a rank-deficient ``B``
+    needs no special case.  The gradient ``-2 (Y Q - M R^T) Rc`` is the
+    full one with each row's mean, its all-ones component, taken out.
+    ``fixed`` is ``_fixed_factor(B)`` when the caller has it.
+    """
+    Q, R, Rc, _ = _fixed_factor(B) if fixed is None else fixed
     YQ = Y @ Q
     c = float(np.linalg.norm(Y - YQ @ Q.T) ** 2)
     Rt = R.T
     return (
         lambda M: c + float(np.linalg.norm(YQ - M @ Rt) ** 2),
-        lambda M: -2.0 * (YQ - M @ Rt) @ R,
+        lambda M: -2.0 * (YQ - M @ Rt) @ Rc,
     )
 
 
-def _fit_weights_rows(M0, Y, B):
+def _fit_weights_rows(M0, Y, B, fixed=None):
     """Minimize ``||Y - M B||^2`` over row-stochastic ``M`` from ``M0``,
-    with the step ``1/L`` of the gradient's Lipschitz constant
-    ``L = 2 ||B||_2^2``.
+    with the step ``1/L`` of the curvature along the simplex,
+    ``L = 2 ||B - mean row of B||_2^2``.
 
-    Returns the minimizer and the number of gradient iterations used.
+    When ``L = 0`` all rows of ``B`` coincide, ``f`` is constant on the
+    simplex, and ``M0`` is returned.  ``fixed`` is ``_fixed_factor(B)``
+    when the caller has it.  Returns the minimizer and the number of
+    gradient iterations used.
     """
-    smax = spectral_norm(B)
-    lipschitz = 2.0 * smax * smax
+    fixed = _fixed_factor(B) if fixed is None else fixed
+    lipschitz = fixed[3]
     if lipschitz == 0.0:
         return M0, 0
-    f, grad = _reduced_lsq(Y, B)
+    f, grad = _reduced_lsq(Y, B, fixed)
     M, _, used = _minimize(
         f,
         grad,
@@ -144,17 +177,20 @@ def swap_refit(
     leaving: tuple[int, int] | None,
     entering: tuple[int, int],
     stats: dict | None = None,
+    x_fixed=None,
 ) -> tuple[Factorization, float]:
     """Re-optimize (W, Wt, t) for the proposed support change in one pass.
 
     Fits W, then Wt, against H with the leaving entry dropped and the
     entering entry at 0, each warm-started from the caller's weights, then
     sets the entering value with ``optimal_t``.  Each fit minimizes
-    ``||Y - M B||^2`` in the reduced space of a QR of ``B^T`` taken once
+    ``||Y - M B||^2`` in the reduced space of a QR of ``B^T``
     (``_reduced_lsq``), so an inner evaluation costs O(m k^2) for W and
-    O(k m^2) for Wt, not O(m k n).  Returns the factorization and its
-    objective.  When ``stats`` is given it receives the pass count and the
-    total inner iterations.
+    O(k m^2) for Wt, not O(m k n).  The Wt fit's factor depends on X alone:
+    ``local_search`` takes it once and passes it as ``x_fixed``
+    (``_fixed_factor(X)``); without it the refit takes its own.  Returns the
+    factorization and its objective.  When ``stats`` is given it receives
+    the pass count and the total inner iterations.
     """
     Xm = as_matrix(X, "X")
     i2, j2 = entering
@@ -166,7 +202,7 @@ def swap_refit(
     if Ht[i2, j2] != 0.0:
         raise InvalidInputError("swap_refit: entering coordinate already in support")
     W, it_w = _fit_weights_rows(fac.W.copy(), Xm, Ht)
-    Wt, it_wt = _fit_weights_rows(fac.Wt.copy(), Ht, Xm)
+    Wt, it_wt = _fit_weights_rows(fac.Wt.copy(), Ht, Xm, x_fixed)
     Ht[i2, j2] = optimal_t(Xm, Ht, W, Wt, lam, i2, j2)
     if stats is not None:
         # perfbench's tracer sums "alternations" into local_search.alternations
@@ -195,6 +231,7 @@ def local_search(
     cur = fac.copy()
     cur.validate(cfg.ell)
     psi = objective(Xm, cur, lam).total
+    x_fixed = _fixed_factor(Xm)
     accepted: list[SwapProposal] = []
     for _ in range(max_swaps):
         if nnz(cur.H) >= cur.H.size:
@@ -204,7 +241,7 @@ def local_search(
         else:
             leaving = select_leaving(cur.H)
         entering = select_entering(Xm, cur, lam)
-        cand, cand_psi = swap_refit(Xm, cur, lam, leaving, entering)
+        cand, cand_psi = swap_refit(Xm, cur, lam, leaving, entering, x_fixed=x_fixed)
         if cand_psi < psi:
             accepted.append(
                 SwapProposal(

@@ -29,7 +29,7 @@ from .core import (
     as_matrix,
     spectral_norm,
 )
-from .projections import project_simplex_rows
+from .projections import _simplex_rows_raw, project_simplex_rows
 from .solver import SolveTrace, default_init, solve, step_W
 
 _F_ABS_STOP = 1e-22
@@ -144,12 +144,16 @@ def eval_F(
 
     def grad(v: np.ndarray) -> np.ndarray:
         r = residual(v)
-        return np.hstack([2.0 * r, -2.0 * r @ Xm.T])
+        g = np.empty_like(v)
+        np.multiply(r, 2.0, out=g[:, :n])
+        g[:, n:] = -2.0 * r @ Xm.T
+        return g
 
     def project(v: np.ndarray) -> np.ndarray:
-        return np.hstack(
-            [np.clip(v[:, :n], 0.0, upper), project_simplex_rows(v[:, n:])]
-        )
+        out = np.empty_like(v)
+        np.clip(v[:, :n], 0.0, upper, out=out[:, :n])
+        out[:, n:] = _simplex_rows_raw(v[:, n:])
+        return out
 
     v_opt, f_cur, _ = _minimize(
         f,

@@ -36,13 +36,19 @@ def _counts(d: int) -> np.ndarray:
 
 def _simplex_rows_raw(A: np.ndarray) -> np.ndarray:
     m, d = A.shape
-    s = np.sort(A, axis=1)[:, ::-1]
-    css = np.cumsum(s, axis=1)
-    css -= 1.0
-    ratio = np.divide(css, _counts(d), out=css)  # candidate thresholds
+    s = A.copy()
+    s.sort(axis=1)
+    s = s[:, ::-1]
+    ratio = s.cumsum(axis=1)  # a new C-ordered array
+    ratio -= 1.0
+    ratio /= _counts(d)  # candidate thresholds
     above = s > ratio
-    rho = d - 1 - np.argmax(above[:, ::-1], axis=1)
-    out = A - ratio[np.arange(m), rho][:, None]
+    # the last column above, counted back from each row's end; the offsets
+    # are not cached per shape, because the row-batched hull solver's active
+    # set passes hundreds of row counts
+    row_ends = np.arange(d - 1, m * d, d)
+    theta = ratio.ravel()[row_ends - above[:, ::-1].argmax(axis=1)]
+    out = A - theta[:, None]
     np.maximum(out, 0.0, out=out)
     # the first column is above (s_1 > s_1 - 1) unless s_1 - 1 rounds to s_1;
     # a row with no column above is projected again shifted to a zero

@@ -401,12 +401,16 @@ def swap_refit_oracle(X, fac, lam: float, leaving, entering):
     Drops ``leaving`` from H, fits W to ``||X - M Ht||^2`` and then Wt to
     ``||Ht - M X||^2`` over row-stochastic matrices, each from the caller's
     weights, with the objective and gradient built from the m x n (or
-    k x n) residual, and sets the entering entry with ``optimal_t``.  It
-    reuses the library's accelerated driver, simplex projection, spectral
-    norm, fit constants, ``optimal_t`` and ``objective``, which the refit
-    calls unchanged.  Returns ``(H, W, Wt, t_star, psi, inner_iterations)``.
+    k x n) residual, and sets the entering entry with ``optimal_t``.  Each
+    fit steps along the simplex: against ``B`` its gradient is
+    ``-2 (Y - M B) (B - mean row)^T`` and its step ``1 / (2 s^2)``, with
+    ``s`` the 2-norm of ``B - mean row`` by SVD (0 when all rows of ``B``
+    are equal).  It reuses the library's accelerated driver, simplex
+    projection, fit constants, ``optimal_t`` and ``objective``, which the
+    refit calls unchanged.  Returns
+    ``(H, W, Wt, t_star, psi, inner_iterations)``.
     """
-    from sparse_aa.core import Factorization, spectral_norm
+    from sparse_aa.core import Factorization
     from sparse_aa._fista import minimize
     from sparse_aa.local_search import _REFIT_INNER_MAX_ITER, _REFIT_INNER_TOL, optimal_t
     from sparse_aa.projections import _simplex_rows_raw
@@ -424,18 +428,20 @@ def swap_refit_oracle(X, fac, lam: float, leaving, entering):
     Ht = fac.H.copy()
     if leaving is not None:
         Ht[leaving] = 0.0
-    sh = spectral_norm(Ht) if Ht.any() else 0.0
+    Hc = Ht - Ht.mean(axis=0)
+    sh = 0.0 if (Ht == Ht[0]).all() else np.linalg.norm(Hc, 2)
     W, it_w = fit(
         fac.W.copy(),
         lambda M: float(np.linalg.norm(X - M @ Ht) ** 2),
-        lambda M: -2.0 * (X - M @ Ht) @ Ht.T,
+        lambda M: -2.0 * (X - M @ Ht) @ Hc.T,
         2.0 * sh * sh,
     )
-    sx = spectral_norm(X)
+    Xc = X - X.mean(axis=0)
+    sx = 0.0 if (X == X[0]).all() else np.linalg.norm(Xc, 2)
     Wt, it_wt = fit(
         fac.Wt.copy(),
         lambda M: float(np.linalg.norm(Ht - M @ X) ** 2),
-        lambda M: -2.0 * (Ht - M @ X) @ X.T,
+        lambda M: -2.0 * (Ht - M @ X) @ Xc.T,
         2.0 * sx * sx,
     )
     t_star = optimal_t(X, Ht, W, Wt, lam, *entering)

@@ -19,9 +19,9 @@ from sparse_aa import (
     swap_refit,
     synth_instance,
 )
-from sparse_aa.local_search import _reduced_lsq
+from sparse_aa.local_search import _fit_weights_rows, _reduced_lsq
 from sparse_aa.solver import grad_H
-from oracles import golden_section_min, swap_refit_oracle
+from oracles import golden_section_min, hull_qp_oracle, swap_refit_oracle
 
 
 def feasible_fac(rng, m=6, k=2, n=4, ell=5):
@@ -303,9 +303,12 @@ def test_reduced_lsq_matches_residual_form(name):
         M = row_stochastic(rng, Y.shape[0], B.shape[0])
         R = Y - M @ B
         f_ref = float(np.sum(R * R))
-        g_ref = -2.0 * R @ B.T
+        g_full = -2.0 * R @ B.T
+        g_ref = g_full - g_full.mean(axis=1, keepdims=True)  # along the simplex
         assert abs(f(M) - f_ref) <= 1e-12 * f_ref
-        assert np.linalg.norm(grad(M) - g_ref) <= 1e-12 * np.linalg.norm(g_ref)
+        # taking out the mean cancels at the scale of the full gradient, and
+        # B with identical rows has g_ref = 0
+        assert np.linalg.norm(grad(M) - g_ref) <= 1e-12 * np.linalg.norm(g_full)
 
 
 @pytest.mark.parametrize("name", sorted(reduced_lsq_cases()))
@@ -357,7 +360,7 @@ def test_local_search_accepts_the_oracle_swap_sequence(monkeypatch):
     fac, _ = solve(X, None, cfg)
     _, n_swaps, log = local_search(X, fac, cfg)
 
-    def oracle_refit(X, fac, lam, leaving, entering, stats=None):
+    def oracle_refit(X, fac, lam, leaving, entering, stats=None, x_fixed=None):
         H, W, Wt, _, psi, _ = swap_refit_oracle(X, fac, lam, leaving, entering)
         return Factorization(H=H, W=W, Wt=Wt), psi
 
@@ -368,3 +371,71 @@ def test_local_search_accepts_the_oracle_swap_sequence(monkeypatch):
     assert [(s.leaving, s.entering) for s in log] == [
         (s.leaving, s.entering) for s in log_ref
     ]
+
+
+def weight_fit_case(name):
+    """(M0, Y, B) of one weight fit.  ``random-W-<seed>`` and
+    ``random-Wt-<seed>`` are the W and Wt fits of a random 6 x 8 X and 3 x 8
+    H; n > m keeps the rows of Y outside the hull of B."""
+    kind, _, seed = name.rpartition("-")
+    rng = np.random.default_rng(int(seed))
+    X, H = rng.uniform(size=(6, 8)), rng.uniform(size=(3, 8))
+    if kind == "identical-rows":
+        H[2] = H[0]
+    elif kind == "one-row":
+        H = H[:1]
+    elif kind == "coinciding-rows":
+        H = np.tile(H[:1], (3, 1))
+    if kind == "random-Wt":
+        return row_stochastic(rng, 3, 6), H, X
+    return row_stochastic(rng, 6, H.shape[0]), X, H
+
+
+WEIGHT_FIT_CASES = (
+    [f"random-W-{seed}" for seed in range(10)]
+    + [f"random-Wt-{seed}" for seed in range(10)]
+    + ["identical-rows-0", "one-row-0", "coinciding-rows-0"]
+)
+
+
+@pytest.mark.parametrize("name", WEIGHT_FIT_CASES)
+def test_weight_fit_reaches_the_hull_distance_minimum(name):
+    # row i of a weight fit is the squared distance of Y_i to the hull of
+    # the rows of B, which the oracle finds by enumerating supports
+    M0, Y, B = weight_fit_case(name)
+    M, used = _fit_weights_rows(M0, Y, B)
+    assert np.all(M >= 0.0)
+    np.testing.assert_allclose(M.sum(axis=1), 1.0, atol=1e-12)
+    value = float(np.sum((Y - M @ B) ** 2))
+    ref = sum(hull_qp_oracle(y, B) for y in Y)
+    assert abs(value - ref) <= 1e-8 * ref
+    if name.startswith("coinciding-rows"):
+        # f is constant on the simplex: the warm start comes back untouched
+        assert used == 0
+        assert M is M0
+
+
+def test_local_search_factors_x_once(monkeypatch):
+    # X is fixed for the whole search, so its QR is taken once, not per refit
+    X, *_ = synth_instance(23, 10, 3, 0.1, seed=0)
+    cfg = SaaConfig(k=3, ell=15, lam=tuple(np.geomspace(30.0, 1.0, 4)),
+                    max_iter=2_000, tol_stationary=1e-5)
+    fac, _ = solve(X, None, cfg)
+    ls_mod = importlib.import_module("sparse_aa.local_search")
+    qr, refit = np.linalg.qr, ls_mod.swap_refit
+    x_qrs, refits = [], []
+
+    def counting_qr(a, *args, **kwargs):
+        if np.shape(a) == X.T.shape:
+            x_qrs.append(a)
+        return qr(a, *args, **kwargs)
+
+    def counting_refit(*args, **kwargs):
+        refits.append(1)
+        return refit(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    monkeypatch.setattr(ls_mod, "swap_refit", counting_refit)
+    local_search(X, fac, cfg)
+    assert len(refits) >= 3
+    assert len(x_qrs) == 1
