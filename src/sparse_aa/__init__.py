@@ -12,7 +12,6 @@ importable from their modules.
 from .core import (
     Factorization,
     InvalidInputError,
-    NumericalError,
     SaaConfig,
     nnz,
     read_matrix_csv,
@@ -66,7 +65,6 @@ __all__ = [
     "Cut",
     "Factorization",
     "InvalidInputError",
-    "NumericalError",
     "SaaConfig",
     "appendixB_fixture",
     "archetype_distance",

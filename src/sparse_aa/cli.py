@@ -20,7 +20,6 @@ import numpy as np
 from .core import (
     Factorization,
     InvalidInputError,
-    NumericalError,
     SaaConfig,
     _loadtxt,
     nnz,
@@ -350,7 +349,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    except (NumericalError, FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
 

@@ -17,16 +17,10 @@ from typing import Sequence
 import numpy as np
 
 ROW_SUM_TOL = 1e-9
-_POWER_TOL = 1e-10  # relative change that stops the power iteration
-_POWER_MAX_ITER = 10_000
 
 
 class InvalidInputError(ValueError):
     """Raised when an argument violates a documented precondition."""
-
-
-class NumericalError(RuntimeError):
-    """Raised when an iterative routine fails to produce a usable result."""
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -52,15 +46,9 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
 
 
 def spectral_norm(a) -> float:
-    """Largest singular value of ``a`` by power iteration on the Gram matrix.
-
-    Starts from the normalized all-ones vector so repeated calls are
-    bit-reproducible; falls back to a ramp start if the first start is
-    annihilated.  Wide matrices are transposed first (singular values are
-    transpose-invariant) to keep the Gram small.  Stops once the estimate
-    changes by less than ``_POWER_TOL`` relative, or after
-    ``_POWER_MAX_ITER`` iterations.
-    """
+    """Largest singular value of ``a``: the square root of the largest
+    eigenvalue of the Gram matrix of ``a`` or of its transpose, whichever
+    is smaller."""
     A = as_matrix(a, "A")
     if A.size == 0:
         raise InvalidInputError("spectral_norm: empty matrix")
@@ -70,34 +58,7 @@ def spectral_norm(a) -> float:
 def _spectral_norm_raw(A: np.ndarray) -> float:
     if A.shape[0] < A.shape[1]:
         A = A.T  # singular values are transpose-invariant; keep the Gram small
-    n = A.shape[1]
-    gram = A.T @ A  # power iteration runs on the Gram matrix
-    start = np.full(n, 1.0 / math.sqrt(n))
-    sigma = _power_iteration(gram, start)
-    if sigma == 0.0:
-        # all-ones can be orthogonal to the top right-singular vector
-        ramp = np.arange(1.0, n + 1.0)
-        ramp /= math.sqrt(float(ramp @ ramp))
-        sigma = _power_iteration(gram, ramp)
-    return sigma
-
-
-def _power_iteration(gram: np.ndarray, v: np.ndarray) -> float:
-    sigma = -1.0
-    for _ in range(_POWER_MAX_ITER):
-        w = gram @ v
-        rayleigh = float(v @ w)
-        if rayleigh <= 0.0:
-            return 0.0
-        s = math.sqrt(rayleigh)
-        nw = math.sqrt(float(w @ w))
-        if nw == 0.0:
-            return s
-        v = w / nw
-        if sigma >= 0.0 and abs(s - sigma) <= _POWER_TOL * s:
-            return s
-        sigma = s
-    return sigma
+    return math.sqrt(max(float(np.linalg.eigvalsh(A.T @ A)[-1]), 0.0))
 
 
 def nnz(a) -> int:
@@ -137,10 +98,8 @@ class SaaConfig:
                 "ell < k: some archetype rows are forced to zero", stacklevel=3
             )
         sched = self.lambda_schedule
-        if not all(0 <= v < math.inf for v in sched):
-            raise InvalidInputError(
-                "SaaConfig: lambda values must be finite and nonnegative"
-            )
+        if not all(0 < v < math.inf for v in sched):
+            raise InvalidInputError("SaaConfig: lambda values must be finite and positive")
         if len(sched) > 1 and any(b >= a for a, b in zip(sched, sched[1:])):
             raise InvalidInputError(
                 "SaaConfig: lambda schedule must be strictly decreasing"

@@ -38,6 +38,7 @@ from .core import (
     Factorization,
     InvalidInputError,
     SaaConfig,
+    _spectral_norm_raw,
     as_matrix,
     nnz,
 )
@@ -109,15 +110,12 @@ def _fixed_factor(B):
     Returns ``(Q, R, Rc, lipschitz)``: the reduced QR factorization
     ``B^T = Q R``, ``R`` with each row's mean taken out (``Rc``, so that
     ``Q Rc`` is ``(B - mean row of B)^T``), and the step constant
-    ``2 ||Rc||_2^2 = 2 ||B - mean row of B||_2^2``.  That norm comes from
-    an SVD of the small ``Rc``, not from ``spectral_norm``, whose power
-    iteration starts from the all-ones vector, which ``Rc`` maps to 0.  The
-    constant is 0 when all rows of ``B`` coincide, which rounding in ``Rc``
-    would hide.
+    ``2 ||Rc||_2^2 = 2 ||B - mean row of B||_2^2``.  The constant is 0 when
+    all rows of ``B`` coincide, which rounding in ``Rc`` would hide.
     """
     Q, R = np.linalg.qr(B.T)
     Rc = R - R.mean(axis=1, keepdims=True)
-    smax = 0.0 if (B == B[0]).all() else float(np.linalg.norm(Rc, 2))
+    smax = 0.0 if (B == B[0]).all() else _spectral_norm_raw(Rc)
     return Q, R, Rc, 2.0 * smax * smax
 
 

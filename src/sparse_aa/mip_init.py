@@ -486,8 +486,6 @@ def continuation(
     """
     Xm = as_matrix(X, "X")
     sched = cfg.lambda_schedule
-    if any(v <= 0 for v in sched):
-        raise InvalidInputError("continuation: schedule values must be positive")
     if oa is None:
         oa = outer_approximation(Xm, cfg)
     m = Xm.shape[0]

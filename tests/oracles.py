@@ -320,8 +320,8 @@ def sweep_loop_oracle(X, cfg, lam: float, momentum: bool = True):
 
     Starts from the uniform weights and the thresholded ``Wt X``, and every
     block step recomputes its residuals from scratch.  It reuses only the
-    library's power-iteration spectral norm and simplex projection, which
-    the sweep calls unchanged.  With ``momentum`` each sweep after the
+    library's spectral norm and simplex projection, which the sweep
+    calls unchanged.  With ``momentum`` each sweep after the
     first starts from the extrapolated point ``B + beta (B - B_prev)`` of
     every block, with the FISTA weight ``beta = (t - 1) / t_next``; a result
     whose objective is above the current one is rejected for the plain

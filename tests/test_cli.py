@@ -319,6 +319,24 @@ def test_fit_rejects_removed_flags(synth_dir, tmp_path, flag, value):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("init", ["mip", "zero"])
+def test_fit_lambda_zero_is_rejected_before_any_solve(
+    synth_dir, tmp_path, capsys, monkeypatch, init
+):
+    import sparse_aa.cli as cli
+
+    def fail(*args, **kwargs):
+        raise AssertionError("outer_approximation ran on an invalid lambda")
+
+    monkeypatch.setattr(cli, "outer_approximation", fail)
+    out = tmp_path / "o"
+    assert run(fit_args(synth_dir, out, **{"--lambda": "0", "--init": init})) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and "lambda" in lines[0]
+    assert not out.exists()
+
+
 def test_fit_oa_rounds_zero_is_invalid_input(synth_dir, tmp_path, capsys):
     out = tmp_path / "o"
     assert run(fit_args(synth_dir, out, **{"--oa-rounds": 0})) == 2

@@ -49,6 +49,43 @@ def test_spectral_norm_scaling(c):
     )
 
 
+def _centered_identical_rows():
+    # the H of test_local_search's weight_fit_case("identical-rows-0"),
+    # centered by its column means: its Gram matrix maps all-ones to 0, and
+    # its norm is 0.8032056356252956
+    rng = np.random.default_rng(0)
+    rng.uniform(size=(6, 8))  # that case's X, drawn first
+    H = rng.uniform(size=(3, 8))
+    H[2] = H[0]
+    return H - H.mean(axis=0)
+
+
+def _close_top_pair():
+    # Q1 diag(1, 1 - 1e-6, 0.5, 0.1) Q2^T: the top two singular values
+    # are 1e-6 apart
+    rng = np.random.default_rng(1)
+    Q1 = np.linalg.qr(rng.normal(size=(6, 4)))[0]
+    Q2 = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+    return (Q1 * np.array([1.0, 1.0 - 1e-6, 0.5, 0.1])) @ Q2.T
+
+
+_rng = np.random.default_rng(2)
+EXACT_NORM_CASES = {
+    "centered-identical-rows": _centered_identical_rows(),
+    "close-top-pair": _close_top_pair(),
+    "tall": _rng.normal(size=(9, 4)),
+    "wide": _rng.normal(size=(3, 11)),
+    "rank-deficient": _rng.normal(size=(7, 2)) @ _rng.normal(size=(2, 5)),
+}
+
+
+@pytest.mark.parametrize("name", EXACT_NORM_CASES)
+def test_spectral_norm_is_exact(name):
+    A = EXACT_NORM_CASES[name]
+    ref = np.linalg.norm(A, 2)
+    assert abs(spectral_norm(A) - ref) <= 1e-13 * ref
+
+
 def test_spectral_norm_rejects_nonfinite():
     with pytest.raises(InvalidInputError):
         spectral_norm(np.array([[1.0, np.nan]]))
@@ -110,6 +147,12 @@ def test_config_validation():
 def test_config_rejects_non_finite_values(field, value):
     with pytest.raises(InvalidInputError, match="finite"):
         SaaConfig(k=2, ell=4, **{field: value})
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, (1.0, 0.0), (2.0, -1.0)])
+def test_config_rejects_nonpositive_lambda(lam):
+    with pytest.raises(InvalidInputError, match="positive"):
+        SaaConfig(k=2, ell=4, lam=lam)
 
 
 def test_config_ell_below_k_warning_names_the_caller():
