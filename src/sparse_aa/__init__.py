@@ -20,7 +20,6 @@ from .core import (
 )
 from .evaluation import (
     appendixB_fixture,
-    cluster_assign,
     cluster_metrics,
     example1_fixture,
     penalized_constants,
@@ -70,7 +69,6 @@ __all__ = [
     "archetype_distance",
     "archetype_distance_l1",
     "archetype_spread",
-    "cluster_assign",
     "cluster_metrics",
     "continuation",
     "eval_F",

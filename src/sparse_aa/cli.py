@@ -28,10 +28,11 @@ from .core import (
     write_json,
     write_matrix_csv,
 )
-from .evaluation import cluster_assign, cluster_metrics, robustness_report, synth_instance
+from .evaluation import cluster_metrics, robustness_report, synth_instance
+from .geometry import nearest_row_assignment
 from .local_search import local_search
 from .mip_init import BranchAndBound, continuation, outer_approximation
-from .solver import SolveTrace, objective, solve, stationarity_residual
+from .solver import objective, solve, stationarity_residual
 
 SCHEMA = "sparse-aa-v2"
 
@@ -73,33 +74,13 @@ def zero_init(X: np.ndarray, cfg: SaaConfig) -> Factorization:
     )
 
 
-def _write_trace_csv(path: Path, trace: SolveTrace) -> None:
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Write ``header``, then ``rows``, with every float as ``f"{v:.17g}"``."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["schema", "iteration", "fit", "reg", "total"])
-        for i, fit, reg, total in trace.rows():
-            writer.writerow([SCHEMA, i, f"{fit:.17g}", f"{reg:.17g}", f"{total:.17g}"])
-
-
-def _write_swaps_csv(path: Path, swaps) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["schema", "leaving_i", "leaving_j", "entering_i", "entering_j", "t", "objective"]
-        )
-        for s in swaps:
-            li, lj = ("", "") if s.leaving is None else s.leaving
-            writer.writerow(
-                [
-                    SCHEMA,
-                    li,
-                    lj,
-                    s.entering[0],
-                    s.entering[1],
-                    f"{s.t_star:.17g}",
-                    f"{s.new_objective:.17g}",
-                ]
-            )
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -151,14 +132,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         t0 = time.monotonic()
         fac, traces = continuation(X, cfg, oa=oa)
         timings["continuation"] = time.monotonic() - t0
-        trace = traces[-1]
-        capped = [lam for lam, tr in zip(cfg.lambda_schedule, traces) if not tr.converged]
-        if capped:
-            print(
-                f"warning: continuation stopped at max_iter={cfg.max_iter} without "
-                f"converging for lambda = {', '.join(f'{lam:.6g}' for lam in capped)}",
-                file=sys.stderr,
-            )
+        lams = cfg.lambda_schedule
         oa_info = {
             "rounds": oa.rounds,
             "converged": oa.converged,
@@ -170,7 +144,16 @@ def cmd_fit(args: argparse.Namespace) -> int:
         t0 = time.monotonic()
         fac, trace = solve(X, zero_init(X, cfg), cfg, lam=cfg.final_lambda)
         timings["solve"] = time.monotonic() - t0
+        lams, traces = (cfg.final_lambda,), [trace]
         oa_info = None
+    trace = traces[-1]
+    capped = [lam for lam, tr in zip(lams, traces) if not tr.converged]
+    if capped:
+        print(
+            f"warning: continuation stopped at max_iter={cfg.max_iter} without "
+            f"converging for lambda = {', '.join(f'{lam:.6g}' for lam in capped)}",
+            file=sys.stderr,
+        )
 
     swaps = []
     n_swaps = 0
@@ -203,8 +186,19 @@ def cmd_fit(args: argparse.Namespace) -> int:
     write_matrix_csv(out / "H.csv", fac.H)
     write_matrix_csv(out / "W.csv", fac.W)
     write_matrix_csv(out / "Wt.csv", fac.Wt)
-    _write_trace_csv(out / "trace.csv", trace)
-    _write_swaps_csv(out / "swaps.csv", swaps)
+    _write_csv(
+        out / "trace.csv",
+        ["schema", "iteration", "fit", "reg", "total"],
+        [(SCHEMA, *row) for row in trace.rows()],
+    )
+    _write_csv(
+        out / "swaps.csv",
+        ["schema", "leaving_i", "leaving_j", "entering_i", "entering_j", "t", "objective"],
+        [
+            (SCHEMA, *(s.leaving or ("", "")), *s.entering, s.t_star, s.new_objective)
+            for s in swaps
+        ],
+    )
     write_json(out / "summary.json", summary)
     write_json(out / "timings.json", {"schema": SCHEMA, "seconds": timings})
     return 0
@@ -251,7 +245,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             "psi": summary["objective"]["total"],
         }
         if labels is not None:
-            est = cluster_assign(X, H_hat)
+            est = nearest_row_assignment(X, H_hat)
             cm = cluster_metrics(labels, est, H0.shape[0])
             row["purity"] = cm.purity
             row["entropy"] = cm.entropy
@@ -260,16 +254,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     fields = list(rows[0].keys()) if rows else ["schema"]
-    with open(out / "reports.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(
-                {
-                    k: (f"{v:.17g}" if isinstance(v, float) else v)
-                    for k, v in row.items()
-                }
-            )
+    _write_csv(out / "reports.csv", fields, [row.values() for row in rows])
     groups: dict[tuple, list[dict]] = {}
     for row in rows:
         groups.setdefault((row["sigma_z"], row["ell"]), []).append(row)

@@ -193,15 +193,6 @@ def robustness_report(H0, H_hat, X0, Z, ell: int) -> RobustnessReport:
     )
 
 
-def cluster_assign(X, H) -> np.ndarray:
-    """Nearest-archetype row index for every data row (lowest index wins)."""
-    Xm = as_matrix(X, "X")
-    Hm = as_matrix(H, "H")
-    if Xm.shape[1] != Hm.shape[1]:
-        raise InvalidInputError("cluster_assign: column counts differ")
-    return nearest_row_assignment(Xm, Hm)
-
-
 @dataclass(frozen=True)
 class ClusterMetrics:
     purity: float

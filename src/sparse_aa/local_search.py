@@ -119,9 +119,9 @@ def _fixed_factor(B):
     return Q, R, Rc, 2.0 * smax * smax
 
 
-def _reduced_lsq(Y, B, fixed=None):
-    """``f(M) = ||Y - M B||^2`` and its gradient along the simplex through a
-    QR of ``B^T``.
+def _reduced_lsq(Y, fixed):
+    """``f(M) = ||Y - M B||^2`` and its gradient along the simplex through
+    ``fixed = _fixed_factor(B)``, a QR of ``B^T``.
 
     With the reduced factorization ``B^T = Q R``, the part of ``Y`` outside
     the span of ``Q`` is fixed, so ``f(M) = c + ||Y Q - M R^T||^2`` with
@@ -129,9 +129,8 @@ def _reduced_lsq(Y, B, fixed=None):
     keeps its relative accuracy as it goes to 0, and a rank-deficient ``B``
     needs no special case.  The gradient ``-2 (Y Q - M R^T) Rc`` is the
     full one with each row's mean, its all-ones component, taken out.
-    ``fixed`` is ``_fixed_factor(B)`` when the caller has it.
     """
-    Q, R, Rc, _ = _fixed_factor(B) if fixed is None else fixed
+    Q, R, Rc, _ = fixed
     YQ = Y @ Q
     c = float(np.linalg.norm(Y - YQ @ Q.T) ** 2)
     Rt = R.T
@@ -141,21 +140,19 @@ def _reduced_lsq(Y, B, fixed=None):
     )
 
 
-def _fit_weights_rows(M0, Y, B, fixed=None):
+def _fit_weights_rows(M0, Y, fixed):
     """Minimize ``||Y - M B||^2`` over row-stochastic ``M`` from ``M0``,
-    with the step ``1/L`` of the curvature along the simplex,
-    ``L = 2 ||B - mean row of B||_2^2``.
+    given ``fixed = _fixed_factor(B)``, with the step ``1/L`` of the
+    curvature along the simplex, ``L = 2 ||B - mean row of B||_2^2``.
 
     When ``L = 0`` all rows of ``B`` coincide, ``f`` is constant on the
-    simplex, and ``M0`` is returned.  ``fixed`` is ``_fixed_factor(B)``
-    when the caller has it.  Returns the minimizer and the number of
-    gradient iterations used.
+    simplex, and ``M0`` is returned.  Returns the minimizer and the number
+    of gradient iterations used.
     """
-    fixed = _fixed_factor(B) if fixed is None else fixed
     lipschitz = fixed[3]
     if lipschitz == 0.0:
         return M0, 0
-    f, grad = _reduced_lsq(Y, B, fixed)
+    f, grad = _reduced_lsq(Y, fixed)
     M, _, used = _minimize(
         f,
         grad,
@@ -199,8 +196,10 @@ def swap_refit(
         Ht[leaving] = 0.0
     if Ht[i2, j2] != 0.0:
         raise InvalidInputError("swap_refit: entering coordinate already in support")
-    W, it_w = _fit_weights_rows(fac.W.copy(), Xm, Ht)
-    Wt, it_wt = _fit_weights_rows(fac.Wt.copy(), Ht, Xm, x_fixed)
+    if x_fixed is None:
+        x_fixed = _fixed_factor(Xm)
+    W, it_w = _fit_weights_rows(fac.W.copy(), Xm, _fixed_factor(Ht))
+    Wt, it_wt = _fit_weights_rows(fac.Wt.copy(), Ht, x_fixed)
     Ht[i2, j2] = optimal_t(Xm, Ht, W, Wt, lam, i2, j2)
     if stats is not None:
         # perfbench's tracer sums "alternations" into local_search.alternations

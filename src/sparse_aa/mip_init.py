@@ -370,20 +370,19 @@ def _lex_smaller(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def milp_min_cuts(
-    cuts: CutSet | list[Cut],
+    cuts: list[Cut],
     k: int,
     n: int,
     ell: int,
     backend: BranchAndBound | None = None,
 ) -> tuple[np.ndarray, float]:
     """Minimize the piecewise-linear cut model over feasible binary patterns."""
-    cut_list = cuts.cuts if isinstance(cuts, CutSet) else list(cuts)
-    if not cut_list:
+    if not cuts:
         raise InvalidInputError("milp_min_cuts: cut set is empty")
     if backend is None:
         backend = BranchAndBound()
-    offsets = np.array([c.offset for c in cut_list], dtype=np.float64)
-    grads = np.stack([c.grad.ravel() for c in cut_list])
+    offsets = np.array([c.offset for c in cuts], dtype=np.float64)
+    grads = np.stack([c.grad.ravel() for c in cuts])
     sol = backend.minimize_cuts(offsets, grads, (k, n), ell)
     return sol.Z, sol.eta
 
@@ -453,7 +452,7 @@ def outer_approximation(
             break
         if r == max_rounds - 1:
             break
-        Z, eta = milp_min_cuts(cutset, k, n, ell, backend=backend)
+        Z, eta = milp_min_cuts(cutset.cuts, k, n, ell, backend=backend)
         cutset.best_lower = min(max(cutset.best_lower, eta), cutset.best_upper)
         if cutset.closed():
             converged = True

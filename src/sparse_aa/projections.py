@@ -52,11 +52,16 @@ def _simplex_rows_raw(A: np.ndarray) -> np.ndarray:
     np.maximum(out, 0.0, out=out)
     # the first column is above (s_1 > s_1 - 1) unless s_1 - 1 rounds to s_1;
     # a row with no column above is projected again shifted to a zero
-    # maximum, which leaves its projection unchanged and puts column 0 above
+    # maximum, which leaves its projection unchanged and puts column 0 above;
+    # a row whose maximum is not finite (a NaN or +inf entry, or all -inf)
+    # has no such shift
     if np.count_nonzero(above[:, 0]) < m:
         lost = ~above.any(axis=1)
         B = A[lost]
-        out[lost] = _simplex_rows_raw(B - B.max(axis=1, keepdims=True))
+        top = B.max(axis=1, keepdims=True)
+        if not np.isfinite(top).all():
+            raise FloatingPointError("simplex projection: a row has no finite maximum")
+        out[lost] = _simplex_rows_raw(B - top)
     return out
 
 

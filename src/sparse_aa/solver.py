@@ -168,6 +168,11 @@ def _sweep_raw(X, H, W, Wt, lam, ell, smax_x):
     return H1, W1, Wt1, (l1, l2, l3)
 
 
+def _block_change(new, old) -> float:
+    """Largest Frobenius norm of the change of the blocks ``(H, W, Wt)``."""
+    return max(float(np.linalg.norm(b1 - b0)) for b1, b0 in zip(new, old))
+
+
 def solve(
     X,
     init: Factorization | None,
@@ -232,11 +237,7 @@ def solve(
                 t_next = 1.0
         fit, reg, new_total = new
         l1, l2, l3 = ls
-        change = max(
-            float(np.linalg.norm(H1 - H)),
-            float(np.linalg.norm(W1 - W)),
-            float(np.linalg.norm(Wt1 - Wt)),
-        )
+        change = _block_change((H1, W1, Wt1), (H, W, Wt))
         trace.iterations += 1
         trace.objectives.append(new_total)
         trace.fits.append(fit)
@@ -269,11 +270,7 @@ def stationarity_residual(X, fac: Factorization, cfg: SaaConfig) -> Stationarity
     lam = cfg.final_lambda
     smax_x = _spectral_norm_raw(Xm)
     H1, W1, Wt1, (l1, _, _) = _sweep_raw(Xm, fac.H, fac.W, fac.Wt, lam, cfg.ell, smax_x)
-    residual = max(
-        float(np.linalg.norm(H1 - fac.H)),
-        float(np.linalg.norm(W1 - fac.W)),
-        float(np.linalg.norm(Wt1 - fac.Wt)),
-    )
+    residual = _block_change((H1, W1, Wt1), (fac.H, fac.W, fac.Wt))
     # a tie: more than ell entries reach the (positive) selection threshold
     target = _h_target_raw(Xm, fac.H, fac.W, lam, l1, fac.Wt @ Xm)
     thr = _topk_threshold(target.ravel(), cfg.ell)

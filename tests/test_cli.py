@@ -7,6 +7,8 @@ import pytest
 
 from sparse_aa import Factorization, SaaConfig, read_matrix_csv, stationarity_residual
 from sparse_aa.cli import main, parse_lambda
+from sparse_aa.core import write_matrix_csv
+from sparse_aa.local_search import SwapProposal
 
 
 def run(args):
@@ -218,6 +220,82 @@ def test_fit_warns_when_continuation_hits_max_iter(synth_dir, tmp_path, capsys):
     # every lambda of log:30:1:3 is cut by a 2-sweep budget
     assert lines[0].endswith("lambda = 30, 5.47723, 1")
     assert read_json(out / "summary.json")["converged"] is False
+
+
+def test_fit_zero_init_warns_when_its_solve_hits_max_iter(synth_dir, tmp_path, capsys):
+    # the zero path is one solve, at the final lambda
+    out = tmp_path / "capped"
+    assert run(fit_args(synth_dir, out, **{"--init": "zero", "--max-iter": 2})) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: continuation stopped at max_iter=2 without converging for lambda = 1"
+    ]
+    assert read_json(out / "summary.json")["converged"] is False
+
+
+def readme_data(tmp_path):
+    data = tmp_path / "data"
+    assert run(["synth", "--m", 20, "--n", 10, "--k", 3, "--sigma-z", 0.1,
+                "--seed", 7, "--out", data]) == 0
+    return data
+
+
+def crlf_lines(path):
+    text = path.read_bytes().decode("utf-8")
+    assert text.endswith("\r\n") and "\n" not in text.replace("\r\n", "")
+    return text.split("\r\n")[:-1]
+
+
+def test_csv_artifacts_pin_their_format(tmp_path, monkeypatch):
+    # the README data and fit: exact headers, CRLF line endings, and floats as
+    # f"{v:.17g}", so the last objective of each file is summary.json's Psi
+    data = readme_data(tmp_path)
+    fits = {}
+    for ls in ("on", "off"):
+        fits[ls] = tmp_path / f"fit-{ls}"
+        assert run(["fit", "--data", data / "X.csv", "--k", 3, "--ell", 15,
+                    "--oa-rounds", 3, "--local-search", ls, "--out", fits[ls]]) == 0
+    assert run(["eval", "--truth", data, "--fit", fits["on"], "--out", tmp_path / "rep"]) == 0
+
+    def psi(fit):
+        return f"{read_json(fit / 'summary.json')['objective']['total']:.17g}"
+
+    trace = crlf_lines(fits["off"] / "trace.csv")
+    assert trace[0] == "schema,iteration,fit,reg,total"
+    assert trace[-1].startswith(f"sparse-aa-v2,{len(trace) - 2},")
+    assert trace[-1].split(",")[-1] == psi(fits["off"])
+    swaps = crlf_lines(fits["on"] / "swaps.csv")
+    assert swaps[0] == "schema,leaving_i,leaving_j,entering_i,entering_j,t,objective"
+    n_swaps = read_json(fits["on"] / "summary.json")["swaps_accepted"]
+    assert n_swaps > 0 and len(swaps) == 1 + n_swaps
+    assert swaps[-1].split(",")[-1] == psi(fits["on"])
+    reports = crlf_lines(tmp_path / "rep" / "reports.csv")
+    assert reports[0] == "schema,fit,sigma_z,ell,weak,strong,delta,beta,sep,psi"
+    row = dict(zip(reports[0].split(","), next(csv.reader(reports[1:]))))
+    assert row["psi"] == psi(fits["on"])
+    assert row["sigma_z"] == f"{0.1:.17g}"
+
+    # the README data gives no swap below budget: such a swap has no leaving
+    # coordinate and writes two empty cells
+    import sparse_aa.cli as cli
+
+    below = SwapProposal(leaving=None, entering=(2, 4), t_star=0.5, new_objective=1.25)
+    monkeypatch.setattr(cli, "local_search", lambda X, fac, cfg, max_swaps: (fac, 1, [below]))
+    out = tmp_path / "below"
+    assert run(["fit", "--data", data / "X.csv", "--k", 3, "--ell", 15, "--init", "zero",
+                "--lambda", 1, "--local-search", "on", "--out", out]) == 0
+    assert crlf_lines(out / "swaps.csv")[1:] == ["sparse-aa-v2,,,2,4,0.5,1.25"]
+
+
+def test_fit_non_finite_projection_is_numerical_failure(tmp_path, capsys):
+    # scaled by 1e-160, ||X||^2 is subnormal, the Wt step's lam / L3
+    # overflows, and its simplex projection meets rows with no finite maximum
+    data = readme_data(tmp_path)
+    write_matrix_csv(tmp_path / "tiny.csv", read_matrix_csv(data / "X.csv") * 1e-160)
+    capsys.readouterr()
+    rc = run(["fit", "--data", tmp_path / "tiny.csv", "--init", "zero", "--lambda", 1,
+              "--k", 3, "--ell", 15, "--out", tmp_path / "fit"])
+    assert rc == 4
+    assert capsys.readouterr().err.splitlines()[-1].startswith("numerical failure:")
 
 
 def test_fit_ell_below_k_warns_once_at_the_cli(synth_dir, tmp_path):

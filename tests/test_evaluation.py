@@ -7,9 +7,9 @@ from sparse_aa import (
     InvalidInputError,
     appendixB_fixture,
     archetype_distance,
-    cluster_assign,
     cluster_metrics,
     example1_fixture,
+    nearest_row_assignment,
     nnz,
     penalized_constants,
     robustness_report,
@@ -143,19 +143,19 @@ def test_robustness_report_bound_fields_consistent():
 def test_cluster_assign_cases():
     H = np.array([[0.0, 0.0], [10.0, 10.0]])
     X = np.array([[0.1, 0.0], [9.0, 9.5], [0.2, 0.1]])
-    np.testing.assert_array_equal(cluster_assign(X, H), [0, 1, 0])
-    one = cluster_assign(X, H[:1])
+    np.testing.assert_array_equal(nearest_row_assignment(X, H), [0, 1, 0])
+    one = nearest_row_assignment(X, H[:1])
     np.testing.assert_array_equal(one, [0, 0, 0])
     # ties go to the lowest archetype index
     H_tie = np.array([[1.0, 0.0], [1.0, 0.0]])
-    np.testing.assert_array_equal(cluster_assign(np.array([[1.0, 0.0]]), H_tie), [0])
+    np.testing.assert_array_equal(nearest_row_assignment(np.array([[1.0, 0.0]]), H_tie), [0])
 
 
 def test_cluster_assign_matches_pairwise_oracle():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(20, 4))
     H = rng.normal(size=(5, 4))
-    got = cluster_assign(X, H)
+    got = nearest_row_assignment(X, H)
     want = [
         int(np.argmin([np.linalg.norm(x - h) for h in H])) for x in X
     ]

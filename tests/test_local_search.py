@@ -19,7 +19,7 @@ from sparse_aa import (
     swap_refit,
     synth_instance,
 )
-from sparse_aa.local_search import _fit_weights_rows, _reduced_lsq
+from sparse_aa.local_search import _fit_weights_rows, _fixed_factor, _reduced_lsq
 from sparse_aa.solver import grad_H
 from oracles import golden_section_min, hull_qp_oracle, swap_refit_oracle
 
@@ -297,7 +297,7 @@ def reduced_lsq_cases():
 @pytest.mark.parametrize("name", sorted(reduced_lsq_cases()))
 def test_reduced_lsq_matches_residual_form(name):
     Y, B = reduced_lsq_cases()[name]
-    f, grad = _reduced_lsq(Y, B)
+    f, grad = _reduced_lsq(Y, _fixed_factor(B))
     rng = np.random.default_rng(22)
     for _ in range(3):
         M = row_stochastic(rng, Y.shape[0], B.shape[0])
@@ -318,7 +318,7 @@ def test_reduced_lsq_exact_fit_is_near_zero(name):
     rng = np.random.default_rng(23)
     M = row_stochastic(rng, 6, B.shape[0])
     Y = M @ B
-    f, _ = _reduced_lsq(Y, B)
+    f, _ = _reduced_lsq(Y, _fixed_factor(B))
     assert 0.0 <= f(M) <= 1e-20 * float(np.sum(Y * Y))
 
 
@@ -403,7 +403,7 @@ def test_weight_fit_reaches_the_hull_distance_minimum(name):
     # row i of a weight fit is the squared distance of Y_i to the hull of
     # the rows of B, which the oracle finds by enumerating supports
     M0, Y, B = weight_fit_case(name)
-    M, used = _fit_weights_rows(M0, Y, B)
+    M, used = _fit_weights_rows(M0, Y, _fixed_factor(B))
     assert np.all(M >= 0.0)
     np.testing.assert_allclose(M.sum(axis=1), 1.0, atol=1e-12)
     value = float(np.sum((Y - M @ B) ** 2))

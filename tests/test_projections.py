@@ -64,6 +64,16 @@ def test_simplex_rows_huge_entries_stay_on_simplex():
     np.testing.assert_array_equal(P, [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
 
 
+def test_simplex_rows_non_finite_maximum_is_a_numerical_failure():
+    # a NaN or +inf entry leaves no column above its threshold, and the shift
+    # by the row maximum cannot repair it; a -inf entry below a finite
+    # maximum still projects
+    for row in ([np.nan, 1.0], [np.inf, 0.0]):
+        with pytest.raises(FloatingPointError):
+            _simplex_rows_raw(np.array([row]))
+    np.testing.assert_array_equal(_simplex_rows_raw(np.array([[-np.inf, 1.0]])), [[0.0, 1.0]])
+
+
 def test_simplex_rows_rejects_empty_rows():
     with pytest.raises(InvalidInputError):
         project_simplex_rows(np.zeros((2, 0)))
