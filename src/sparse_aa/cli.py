@@ -31,7 +31,7 @@ from .core import (
 from .evaluation import cluster_metrics, robustness_report, synth_instance
 from .geometry import nearest_row_assignment
 from .local_search import local_search
-from .mip_init import BranchAndBound, continuation, outer_approximation
+from .mip_init import NODE_CAP, BranchAndBound, continuation, outer_approximation
 from .solver import objective, solve, stationarity_residual
 
 SCHEMA = "sparse-aa-v2"
@@ -123,10 +123,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
             X,
             cfg,
             max_rounds=args.oa_rounds,
-            # unset: outer_approximation picks its own size-dependent cap
-            backend=None
-            if args.oa_node_cap is None
-            else BranchAndBound(node_cap=args.oa_node_cap),
+            backend=BranchAndBound(node_cap=args.oa_node_cap),
         )
         timings["mip_init"] = time.monotonic() - t0
         t0 = time.monotonic()
@@ -310,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--local-search", dest="local_search", choices=["on", "off"], default="off")
     pf.add_argument("--max-swaps", dest="max_swaps", type=int, default=100)
     pf.add_argument("--oa-rounds", dest="oa_rounds", type=int, default=50)
-    pf.add_argument("--oa-node-cap", dest="oa_node_cap", type=int, default=None)
+    pf.add_argument("--oa-node-cap", dest="oa_node_cap", type=int, default=NODE_CAP)
     pf.add_argument("--out", required=True)
     pf.set_defaults(func=cmd_fit)
 
@@ -327,7 +324,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # overflow, invalid values and division by zero raise, so they print
+        # one numerical-failure line, not numpy warnings; underflow is silent
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

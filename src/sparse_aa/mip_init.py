@@ -8,9 +8,10 @@ ell-sparse nonnegative H close to row-convex combinations of the data:
 ``eval_F`` computes the convex inner value F(Z) for a fixed support pattern
 Z (H box-constrained entrywise to [0, sqrt(b) Z]), ``subgradient_F``
 produces a valid cut from the inner minimizers, and ``outer_approximation``
-alternates evaluation with an exact cut-based master problem.  The master
-is a small MILP solved by ``BranchAndBound``, an exact depth-first search
-that an optional node cap turns into a bounded one.
+alternates evaluation with a cut-based master problem.  The master is a
+small MILP solved by ``BranchAndBound``, a depth-first search that stops
+after ``NODE_CAP`` nodes by default; a master is exact when its search ends
+under the cap.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ _GAP_ABS = 1e-9  # absolute gap that counts as closed when F is near zero
 # looser floors (1e-6, 1e-3) raised criterion 9's weak distance
 _WARM_TOL_OBJECTIVE = 1e-8
 _WARM_TOL_STATIONARY = 1e-4
+NODE_CAP = 4_000  # default node cap of every master search
 
 
 @dataclass(frozen=True)
@@ -190,7 +192,7 @@ class MilpSolution:
 
 
 class BranchAndBound:
-    """Exact depth-first branch-and-bound for the cut-based master problem
+    """Depth-first branch-and-bound for the cut-based master problem
 
         min_Z max_i (offset_i + <grad_i, Z>)   s.t. Z binary, sum(Z) <= ell.
 
@@ -199,9 +201,10 @@ class BranchAndBound:
     which lower-bounds the min-max.  Branches on the free variable with the
     largest absolute summed gradient, exploring the better-bound child
     first.  Zero-impact variables are fixed to zero up front: they never
-    change any cut and the tie-break prefers sparser patterns.  With
-    ``node_cap`` set, the search may stop early and returns the best global
-    lower bound instead of a certificate.
+    change any cut and the tie-break prefers sparser patterns.  The search
+    stops after ``node_cap`` nodes (default ``NODE_CAP``) and then returns
+    the best global lower bound instead of a certificate; it is exact when
+    it ends under the cap, and ``node_cap=None`` never stops it early.
 
     The summed gradients never change and both children drop the branching
     variable, so the free set of a node depends only on its depth: the
@@ -212,7 +215,7 @@ class BranchAndBound:
     than a rounding slack, since it cannot win.
     """
 
-    def __init__(self, node_cap: int | None = None):
+    def __init__(self, node_cap: int | None = NODE_CAP):
         if node_cap is not None and node_cap < 0:
             raise InvalidInputError("BranchAndBound: node_cap must be nonnegative")
         self.node_cap = node_cap
@@ -414,19 +417,15 @@ def outer_approximation(
     with its inner minimizers, and ``rounds`` counts the patterns evaluated.
     Each evaluation warm-starts from the incumbent's minimizers.  The last
     round ends on its evaluation, so a run makes at most ``max_rounds - 1``
-    master solves.
+    master solves.  Masters run on ``backend``, by default a
+    ``BranchAndBound`` that stops after ``NODE_CAP`` nodes; a master is exact
+    when its search ends under the cap.
     """
     if max_rounds < 1:
         raise InvalidInputError("outer_approximation: max_rounds must be at least 1")
     Xm = as_matrix(X, "X")
     k, ell = cfg.k, cfg.ell
     n = Xm.shape[1]
-    if ell > k * n:
-        raise InvalidInputError("outer_approximation: ell exceeds k*n")
-    if backend is None:
-        # keep small master problems exact; cap the search at scale so one
-        # master solve stays bounded
-        backend = BranchAndBound(node_cap=None if k * n <= 64 else 20_000)
     b = norm_bound_b(Xm, k)
 
     Z = (default_init(Xm, cfg).H > 0.0).astype(np.float64)

@@ -298,6 +298,38 @@ def test_fit_non_finite_projection_is_numerical_failure(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines()[-1].startswith("numerical failure:")
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("init, scale", [("zero", 1e-160), ("mip", 1e160)])
+def test_fit_numerical_failure_prints_one_line(tmp_path, capsys, init, scale):
+    # the scaled README data overflows or meets invalid values; no numpy
+    # warning may precede the failure line
+    data = readme_data(tmp_path)
+    write_matrix_csv(tmp_path / "scaled.csv", read_matrix_csv(data / "X.csv") * scale)
+    capsys.readouterr()
+    rc = run(["fit", "--data", tmp_path / "scaled.csv", "--init", init, "--k", 3,
+              "--ell", 15, "--local-search", "on", "--oa-rounds", 3, "--out", tmp_path / "fit"])
+    assert rc == 4
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure:")
+
+
+def test_fit_mip_budget_past_k_times_n_is_not_binding(tmp_path):
+    # k*n = 30 on the README data: a budget of 40 fits exactly as 30 does
+    data = readme_data(tmp_path)
+    outs = {}
+    for ell in (30, 40):
+        outs[ell] = tmp_path / f"ell{ell}"
+        assert run(["fit", "--data", data / "X.csv", "--k", 3, "--ell", ell,
+                    "--lambda", "log:30:1:8", "--init", "mip", "--local-search", "on",
+                    "--out", outs[ell]]) == 0
+    for name in ["H.csv", "W.csv", "Wt.csv", "trace.csv", "swaps.csv"]:
+        assert (outs[30] / name).read_bytes() == (outs[40] / name).read_bytes()
+    s30, s40 = read_json(outs[30] / "summary.json"), read_json(outs[40] / "summary.json")
+    assert s40["config"]["ell"] == 40
+    s40["config"]["ell"] = 30
+    assert s30 == s40
+
+
 def test_fit_ell_below_k_warns_once_at_the_cli(synth_dir, tmp_path):
     # continuation's warm-start config must not rebuild the config and warn again
     with pytest.warns(UserWarning) as record:
@@ -309,6 +341,7 @@ def test_fit_ell_below_k_warns_once_at_the_cli(synth_dir, tmp_path):
 
 def test_fit_default_node_cap_defers_to_library(synth_dir, tmp_path, monkeypatch):
     import sparse_aa.cli as cli
+    from sparse_aa.mip_init import NODE_CAP
 
     seen = []
     real = cli.outer_approximation
@@ -320,7 +353,7 @@ def test_fit_default_node_cap_defers_to_library(synth_dir, tmp_path, monkeypatch
     monkeypatch.setattr(cli, "outer_approximation", spy)
     assert run(fit_args(synth_dir, tmp_path / "nocap")) == 0
     assert run(fit_args(synth_dir, tmp_path / "cap", **{"--oa-node-cap": 7})) == 0
-    assert seen[0] is None
+    assert seen[0].node_cap == NODE_CAP
     assert seen[1].node_cap == 7
 
 

@@ -395,11 +395,6 @@ def test_solve_edge_cases_feasible_and_deterministic(name):
 def test_continuation_edge_cases(name):
     X, k, ell = edge_instances()[name]
     cfg = SaaConfig(k=k, ell=ell, lam=(4.0, 2.0, 1.0), max_iter=200)
-    if ell > k * X.shape[1]:
-        # the initializer's pattern enumeration rejects a budget past k*n
-        with pytest.raises(InvalidInputError):
-            continuation(X, cfg, oa=outer_approximation(X, cfg, max_rounds=2))
-        return
     fac, traces = continuation(X, cfg, oa=outer_approximation(X, cfg, max_rounds=2))
     fac2, traces2 = continuation(X, cfg, oa=outer_approximation(X, cfg, max_rounds=2))
     assert len(traces) == 3
