@@ -13,6 +13,7 @@ import csv
 import math
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -108,14 +109,19 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_fit(args: argparse.Namespace) -> int:
     X = read_matrix_csv(args.data)
-    cfg = SaaConfig(
-        k=args.k,
-        ell=args.ell,
-        lam=parse_lambda(args.lam),
-        tol_objective=args.tol_objective,
-        tol_stationary=args.tol_stationary,
-        max_iter=args.max_iter,
-    )
+    # a config warning (ell < k) prints as one warning line, like the others
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cfg = SaaConfig(
+            k=args.k,
+            ell=args.ell,
+            lam=parse_lambda(args.lam),
+            tol_objective=args.tol_objective,
+            tol_stationary=args.tol_stationary,
+            max_iter=args.max_iter,
+        )
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
     timings: dict[str, float] = {}
     if args.init == "mip":
         t0 = time.monotonic()

@@ -6,12 +6,13 @@ ell-sparse nonnegative H close to row-convex combinations of the data:
     min ||H - Wt X||_F^2   s.t.  H >= 0, Wt row-stochastic, ||H||_0 <= ell.
 
 ``eval_F`` computes the convex inner value F(Z) for a fixed support pattern
-Z (H box-constrained entrywise to [0, sqrt(b) Z]), ``subgradient_F``
-produces a valid cut from the inner minimizers, and ``outer_approximation``
-alternates evaluation with a cut-based master problem.  The master is a
-small MILP solved by ``BranchAndBound``, a depth-first search that stops
-after ``NODE_CAP`` nodes by default; a master is exact when its search ends
-under the cap.
+Z (H box-constrained entrywise to [0, sqrt(b) Z]) exactly as a problem over
+Wt alone, since the best H for a fixed Wt is a clip of Wt X.
+``subgradient_F`` produces a valid cut from the inner minimizers, and
+``outer_approximation`` alternates evaluation with a cut-based master
+problem.  The master is a small MILP solved by ``BranchAndBound``, a
+depth-first search that stops after ``NODE_CAP`` nodes by default; a master
+is exact when its search ends under the cap.
 """
 
 from __future__ import annotations
@@ -103,14 +104,18 @@ def eval_F(
     ell: int | None = None,
     tol: float = 1e-10,
     max_iter: int = 20_000,
-    h0: np.ndarray | None = None,
     wt0: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Value and minimizers of the inner convex problem at pattern ``Z``.
 
-    Accelerated projected gradient on the joint block (H, Wt) with a box
-    projection for H (entrywise [0, sqrt(b) Z]) and row-simplex projection
-    for Wt, joint step ``1 / (2 (1 + smax(X)^2))``.  ``Z`` may be a relaxed
+    For a fixed Wt the best H in the box [0, sqrt(b) Z] is clip(Wt X, 0,
+    sqrt(b) Z), so F(Z) is exactly the minimum over row-stochastic Wt of
+    f(Wt) = ||Wt X - clip(Wt X)||^2 (variable projection: Golub & Pereyra,
+    SIAM J. Numer. Anal. 1973).  f is a squared distance to a box composed
+    with a linear map, hence convex, and its gradient 2 (Wt X - clip(Wt X))
+    X^T is 2 smax(X)^2-Lipschitz because A - clip(A) is nonexpansive; so
+    accelerated projected gradient runs on Wt with step 1 / (2 smax(X)^2).
+    Returns ``(F, clip(Wt X, 0, sqrt(b) Z), Wt)``.  ``Z`` may be a relaxed
     pattern in [0, 1]; binary patterns are the mainline use.
     """
     Zm = as_matrix(Z, "Z")
@@ -119,9 +124,8 @@ def eval_F(
     m = Xm.shape[0]
     if m == 0 or Xm.shape[1] != n:
         raise InvalidInputError("eval_F: X needs rows, and as many columns as Z")
-    for name, start, shape in (("h0", h0, (k, n)), ("wt0", wt0, (k, m))):
-        if start is not None and np.shape(start) != shape:
-            raise InvalidInputError(f"eval_F: {name} must be {shape[0]} x {shape[1]}")
+    if wt0 is not None and np.shape(wt0) != (k, m):
+        raise InvalidInputError(f"eval_F: wt0 must be {k} x {m}")
     if np.any(Zm < -1e-12) or np.any(Zm > 1.0 + 1e-12):
         raise InvalidInputError("eval_F: pattern entries must lie in [0, 1]")
     if ell is not None and Zm.sum() > ell + 1e-9:
@@ -132,42 +136,29 @@ def eval_F(
     upper = math.sqrt(b) * np.clip(Zm, 0.0, 1.0)
     smax = spectral_norm(Xm) if Xm.size else 0.0
 
-    Wt = np.full((k, m), 1.0 / m) if wt0 is None else project_simplex_rows(wt0)
-    H = Wt @ Xm if h0 is None else np.asarray(h0, dtype=np.float64)
-    H = np.clip(H, 0.0, upper)
+    def residual(Wt: np.ndarray) -> np.ndarray:
+        A = Wt @ Xm
+        return A - np.clip(A, 0.0, upper)
 
-    # the joint block travels as one k x (n + m) matrix [H | Wt]
-    def residual(v: np.ndarray) -> np.ndarray:
-        return v[:, :n] - v[:, n:] @ Xm
-
-    def f(v: np.ndarray) -> float:
-        r = residual(v)
+    def f(Wt: np.ndarray) -> float:
+        r = residual(Wt)
         return float(np.sum(r * r))
 
-    def grad(v: np.ndarray) -> np.ndarray:
-        r = residual(v)
-        g = np.empty_like(v)
-        np.multiply(r, 2.0, out=g[:, :n])
-        g[:, n:] = -2.0 * r @ Xm.T
-        return g
+    def grad(Wt: np.ndarray) -> np.ndarray:
+        return 2.0 * residual(Wt) @ Xm.T
 
-    def project(v: np.ndarray) -> np.ndarray:
-        out = np.empty_like(v)
-        np.clip(v[:, :n], 0.0, upper, out=out[:, :n])
-        out[:, n:] = _simplex_rows_raw(v[:, n:])
-        return out
-
-    v_opt, f_cur, _ = _minimize(
+    # F <= k smax^2 is below _F_ABS_STOP on tiny or zero X: keep the start
+    Wt, val, _ = _minimize(
         f,
         grad,
-        project,
-        np.hstack([H, Wt]),
-        step=1.0 / (2.0 * (1.0 + smax * smax)),
+        _simplex_rows_raw,
+        np.full((k, m), 1.0 / m) if wt0 is None else project_simplex_rows(wt0),
+        step=0.5 / (smax * smax) if smax > 1e-150 else 0.0,
         tol=tol,
         max_iter=max_iter,
         abs_stop=_F_ABS_STOP,
     )
-    return f_cur, v_opt[:, :n].copy(), v_opt[:, n:].copy()
+    return val, np.clip(Wt @ Xm, 0.0, upper), Wt
 
 
 def subgradient_F(H, Wt, X, b: float) -> np.ndarray:
@@ -406,7 +397,6 @@ def outer_approximation(
     cfg: SaaConfig,
     max_rounds: int = 50,
     backend: BranchAndBound | None = None,
-    inner_max_iter: int = 20_000,
 ) -> OaResult:
     """Alternate F evaluations and master solves until the optimality gap
     closes, the master repeats a pattern, or ``max_rounds`` patterns have
@@ -415,7 +405,7 @@ def outer_approximation(
     The lower bound starts at zero (F is a squared norm) and only improves;
     the returned incumbent is the best pattern evaluated so far together
     with its inner minimizers, and ``rounds`` counts the patterns evaluated.
-    Each evaluation warm-starts from the incumbent's minimizers.  The last
+    Each evaluation warm-starts from the incumbent's Wt.  The last
     round ends on its evaluation, so a run makes at most ``max_rounds - 1``
     master solves.  Masters run on ``backend``, by default a
     ``BranchAndBound`` that stops after ``NODE_CAP`` nodes; a master is exact
@@ -440,8 +430,7 @@ def outer_approximation(
             converged = True
             break
         seen.add(key)
-        h0, wt0 = (None, None) if best is None else best[1:]
-        val, Hs, Wts = eval_F(Z, Xm, b, ell, max_iter=inner_max_iter, h0=h0, wt0=wt0)
+        val, Hs, Wts = eval_F(Z, Xm, b, ell, wt0=None if best is None else best[2])
         grad = subgradient_F(Hs, Wts, Xm, b)
         cutset.add(Cut(pattern=Z.copy(), value=val, grad=grad))
         if best is None or val < best[0]:

@@ -424,8 +424,7 @@ def _fit_saa_sweep(X, k, ell):
         tol_stationary=1e-4, tol_objective=1e-8,
     )
     oa = outer_approximation(
-        X, cfg, max_rounds=3, inner_max_iter=4_000,
-        backend=BranchAndBound(node_cap=4_000),
+        X, cfg, max_rounds=3, backend=BranchAndBound(node_cap=4_000),
     )
     fac, _ = continuation(X, cfg, oa=oa)
     return fac
@@ -501,8 +500,7 @@ def test_criterion_10_ablation_ordering():
         fac_z, _ = solve(X, zero_init(X, cfg_zero), cfg_zero)
         psi_zero = objective(X, fac_z, 1.0).total
         oa = outer_approximation(
-            X, cfg, max_rounds=3, inner_max_iter=4_000,
-            backend=BranchAndBound(node_cap=4_000),
+            X, cfg, max_rounds=3, backend=BranchAndBound(node_cap=4_000),
         )
         fac_s, _ = continuation(X, cfg, oa=oa)
         psi_saa = objective(X, fac_s, 1.0).total

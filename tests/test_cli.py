@@ -1,6 +1,5 @@
 import csv
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -330,13 +329,15 @@ def test_fit_mip_budget_past_k_times_n_is_not_binding(tmp_path):
     assert s30 == s40
 
 
-def test_fit_ell_below_k_warns_once_at_the_cli(synth_dir, tmp_path):
-    # continuation's warm-start config must not rebuild the config and warn again
-    with pytest.warns(UserWarning) as record:
-        assert run(fit_args(synth_dir, tmp_path / "f", **{"--k": 3, "--ell": 2})) == 0
-    ell_warnings = [w for w in record if "ell < k" in str(w.message)]
-    assert len(ell_warnings) == 1
-    assert Path(ell_warnings[0].filename).name == "cli.py"
+@pytest.mark.filterwarnings("error")
+def test_fit_ell_below_k_warns_once_at_the_cli(synth_dir, tmp_path, capsys):
+    # one warning line, no Python warning; continuation's warm-start config
+    # must not rebuild the config and warn again
+    capsys.readouterr()
+    assert run(fit_args(synth_dir, tmp_path / "f", **{"--k": 3, "--ell": 2})) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: ell < k: some archetype rows are forced to zero"
+    ]
 
 
 def test_fit_default_node_cap_defers_to_library(synth_dir, tmp_path, monkeypatch):

@@ -63,11 +63,9 @@ def test_eval_F_rejects_bad_patterns():
         eval_F(np.full((2, 3), 2.0), X, b)  # entries above 1
     with pytest.raises(InvalidInputError):
         eval_F(np.ones((2, 3)), X, b, ell=3)  # budget exceeded
-    # starts that are not k x m (wt0) or k x n (h0), and an X with no rows
+    # a start that is not k x m, and an X with no rows
     with pytest.raises(InvalidInputError):
         eval_F(np.ones((2, 3)), X, b, wt0=np.full((2, 4), 0.25))
-    with pytest.raises(InvalidInputError):
-        eval_F(np.ones((2, 3)), X, b, h0=np.zeros((3, 3)))
     with pytest.raises(InvalidInputError):
         eval_F(np.ones((2, 3)), np.zeros((0, 3)), b)
 
@@ -82,9 +80,32 @@ def test_eval_F_restart_invariance():
         rng2 = np.random.default_rng(trial)
         wt0 = rng2.uniform(size=(2, 5))
         wt0 /= wt0.sum(axis=1, keepdims=True)
-        h0 = rng2.uniform(size=(2, 4)) * math.sqrt(b) * Z
-        val, _, _ = eval_F(Z, X, b, tol=1e-12, h0=h0, wt0=wt0)
+        val, _, _ = eval_F(Z, X, b, tol=1e-12, wt0=wt0)
         assert val == pytest.approx(ref, rel=1e-6, abs=1e-10)
+
+
+@pytest.mark.parametrize("case", ["binary", "relaxed", "zero column", "zero X"])
+def test_eval_F_returns_the_clip_of_its_weights(case):
+    # subgradient_F reads the residual Wt X - H as the part of Wt X cut off
+    # by the box, so H must be exactly that clip and F its squared norm
+    rng = np.random.default_rng(6)
+    X = rng.uniform(size=(5, 4))
+    Z = (rng.random((3, 4)) < 0.5).astype(float)
+    if case == "relaxed":
+        Z = rng.uniform(size=(3, 4))
+    elif case == "zero column":
+        X[:, 1] = 0.0
+    elif case == "zero X":
+        X[:] = 0.0
+    b = norm_bound_b(X, 3)
+    val, H, Wt = eval_F(Z, X, b, tol=1e-12)
+    np.testing.assert_array_equal(H, np.clip(Wt @ X, 0.0, math.sqrt(b) * Z))
+    assert val == pytest.approx(float(np.sum((Wt @ X - H) ** 2)), rel=1e-12, abs=1e-300)
+    np.testing.assert_allclose(Wt.sum(axis=1), 1.0, rtol=1e-12)
+    assert np.all(Wt >= 0.0)
+    if case == "zero X":  # F is constant at 0, and the uniform start comes back
+        assert val == 0.0
+        np.testing.assert_allclose(Wt, 0.2, rtol=1e-15)
 
 
 def test_subgradient_zero_at_exact_fit():
