@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
-    Factorization,
     InvalidInputError,
     SaaConfig,
     _loadtxt,
@@ -33,7 +32,7 @@ from .evaluation import cluster_metrics, robustness_report, synth_instance
 from .geometry import nearest_row_assignment
 from .local_search import local_search
 from .mip_init import NODE_CAP, BranchAndBound, continuation, outer_approximation
-from .solver import objective, solve, stationarity_residual
+from .solver import objective, solve, stationarity_residual, zero_init
 
 SCHEMA = "sparse-aa-v2"
 
@@ -63,16 +62,6 @@ def parse_lambda(text: str) -> float | tuple[float, ...]:
     if count == 1:
         return (lo,)
     return tuple(np.geomspace(hi, lo, count).tolist())
-
-
-def zero_init(X: np.ndarray, cfg: SaaConfig) -> Factorization:
-    """Baseline start: H = 0 with uniform weight rows."""
-    m = X.shape[0]
-    return Factorization(
-        H=np.zeros((cfg.k, X.shape[1])),
-        W=np.full((m, cfg.k), 1.0 / cfg.k),
-        Wt=np.full((cfg.k, m), 1.0 / m),
-    )
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -145,7 +134,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         }
     else:  # "zero"
         t0 = time.monotonic()
-        fac, trace = solve(X, zero_init(X, cfg), cfg, lam=cfg.final_lambda)
+        fac, trace = solve(X, zero_init(X, cfg), cfg)
         timings["solve"] = time.monotonic() - t0
         lams, traces = (cfg.final_lambda,), [trace]
         oa_info = None

@@ -112,35 +112,32 @@ def _pairwise_sq_distances(H1: np.ndarray, H2: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
-def nearest_row_assignment(H1, H2) -> np.ndarray:
-    """For each row of ``H1``, the index of the nearest row of ``H2``."""
+def _row_set_distances(H1, H2, name: str) -> np.ndarray:
+    """Squared distances from the rows of ``H1`` to those of ``H2``, checked:
+    two matrices with equal column counts and a nonempty ``H2``."""
     A = as_matrix(H1, "H1")
     B = as_matrix(H2, "H2")
     if A.shape[1] != B.shape[1]:
-        raise InvalidInputError("nearest_row_assignment: column counts differ")
+        raise InvalidInputError(f"{name}: column counts differ")
     if B.shape[0] == 0:
-        raise InvalidInputError("nearest_row_assignment: H2 must be nonempty")
-    return np.argmin(_pairwise_sq_distances(A, B), axis=1)
+        raise InvalidInputError(f"{name}: H2 must be nonempty")
+    return _pairwise_sq_distances(A, B)
+
+
+def nearest_row_assignment(H1, H2) -> np.ndarray:
+    """For each row of ``H1``, the index of the nearest row of ``H2``."""
+    return np.argmin(_row_set_distances(H1, H2, "nearest_row_assignment"), axis=1)
 
 
 def archetype_distance(H1, H2) -> float:
     """Sum over rows of ``H1`` of the squared distance to the nearest row
     of ``H2``.  Asymmetric in its arguments."""
-    A = as_matrix(H1, "H1")
-    B = as_matrix(H2, "H2")
-    if A.shape[1] != B.shape[1]:
-        raise InvalidInputError("archetype_distance: column counts differ")
-    d = _pairwise_sq_distances(A, B)
-    return float(d.min(axis=1).sum())
+    return float(_row_set_distances(H1, H2, "archetype_distance").min(axis=1).sum())
 
 
 def archetype_distance_l1(H1, H2) -> float:
     """Nearest-row distance sum without squaring."""
-    A = as_matrix(H1, "H1")
-    B = as_matrix(H2, "H2")
-    if A.shape[1] != B.shape[1]:
-        raise InvalidInputError("archetype_distance_l1: column counts differ")
-    d = _pairwise_sq_distances(A, B)
+    d = _row_set_distances(H1, H2, "archetype_distance_l1")
     return float(np.sqrt(np.maximum(d.min(axis=1), 0.0)).sum())
 
 

@@ -31,7 +31,7 @@ from .core import (
     as_matrix,
     spectral_norm,
 )
-from .projections import _simplex_rows_raw, project_simplex_rows
+from .projections import _simplex_rows_raw
 from .solver import SolveTrace, default_init, solve, step_W
 
 _F_ABS_STOP = 1e-22
@@ -115,6 +115,7 @@ def eval_F(
     with a linear map, hence convex, and its gradient 2 (Wt X - clip(Wt X))
     X^T is 2 smax(X)^2-Lipschitz because A - clip(A) is nonexpansive; so
     accelerated projected gradient runs on Wt with step 1 / (2 smax(X)^2).
+    The solve projects its start ``wt0`` (default uniform rows) once.
     Returns ``(F, clip(Wt X, 0, sqrt(b) Z), Wt)``.  ``Z`` may be a relaxed
     pattern in [0, 1]; binary patterns are the mainline use.
     """
@@ -124,7 +125,8 @@ def eval_F(
     m = Xm.shape[0]
     if m == 0 or Xm.shape[1] != n:
         raise InvalidInputError("eval_F: X needs rows, and as many columns as Z")
-    if wt0 is not None and np.shape(wt0) != (k, m):
+    start = np.full((k, m), 1.0 / m) if wt0 is None else as_matrix(wt0, "wt0")
+    if start.shape != (k, m):
         raise InvalidInputError(f"eval_F: wt0 must be {k} x {m}")
     if np.any(Zm < -1e-12) or np.any(Zm > 1.0 + 1e-12):
         raise InvalidInputError("eval_F: pattern entries must lie in [0, 1]")
@@ -152,7 +154,7 @@ def eval_F(
         f,
         grad,
         _simplex_rows_raw,
-        np.full((k, m), 1.0 / m) if wt0 is None else project_simplex_rows(wt0),
+        start,
         step=0.5 / (smax * smax) if smax > 1e-150 else 0.0,
         tol=tol,
         max_iter=max_iter,
@@ -402,14 +404,15 @@ def outer_approximation(
     closes, the master repeats a pattern, or ``max_rounds`` patterns have
     been evaluated.
 
+    The first pattern is the support of ``default_init``'s H and the first
+    evaluation starts from its Wt; later ones start from the incumbent's.
     The lower bound starts at zero (F is a squared norm) and only improves;
     the returned incumbent is the best pattern evaluated so far together
     with its inner minimizers, and ``rounds`` counts the patterns evaluated.
-    Each evaluation warm-starts from the incumbent's Wt.  The last
-    round ends on its evaluation, so a run makes at most ``max_rounds - 1``
-    master solves.  Masters run on ``backend``, by default a
-    ``BranchAndBound`` that stops after ``NODE_CAP`` nodes; a master is exact
-    when its search ends under the cap.
+    The last round ends on its evaluation, so a run makes at most
+    ``max_rounds - 1`` master solves.  Masters run on ``backend``, by
+    default a ``BranchAndBound`` that stops after ``NODE_CAP`` nodes; a
+    master is exact when its search ends under the cap.
     """
     if max_rounds < 1:
         raise InvalidInputError("outer_approximation: max_rounds must be at least 1")
@@ -418,7 +421,8 @@ def outer_approximation(
     n = Xm.shape[1]
     b = norm_bound_b(Xm, k)
 
-    Z = (default_init(Xm, cfg).H > 0.0).astype(np.float64)
+    start = default_init(Xm, cfg)
+    Z = (start.H > 0.0).astype(np.float64)
 
     cutset = CutSet()
     best = None  # (value, H, Wt)
@@ -430,7 +434,7 @@ def outer_approximation(
             converged = True
             break
         seen.add(key)
-        val, Hs, Wts = eval_F(Z, Xm, b, ell, wt0=None if best is None else best[2])
+        val, Hs, Wts = eval_F(Z, Xm, b, ell, wt0=start.Wt if best is None else best[2])
         grad = subgradient_F(Hs, Wts, Xm, b)
         cutset.add(Cut(pattern=Z.copy(), value=val, grad=grad))
         if best is None or val < best[0]:
@@ -465,20 +469,18 @@ def continuation(
     the outer-approximation incumbent ``oa``, which defaults to
     ``outer_approximation(X, cfg)``.
 
-    The initial W is one projected descent step from uniform rows against
-    the incumbent archetypes.  Only the last λ's solution is returned, so
-    every earlier λ is a warm start: it stops at the tolerances of ``cfg``
-    loosened to at least ``_WARM_TOL_OBJECTIVE`` and
+    The initial W is one projected descent step from ``default_init``'s W
+    against the incumbent archetypes.  Only the last λ's solution is
+    returned, so every earlier λ is a warm start: it stops at the tolerances
+    of ``cfg`` loosened to at least ``_WARM_TOL_OBJECTIVE`` and
     ``_WARM_TOL_STATIONARY``, and the last λ uses those of ``cfg``.
     """
     Xm = as_matrix(X, "X")
     sched = cfg.lambda_schedule
     if oa is None:
         oa = outer_approximation(Xm, cfg)
-    m = Xm.shape[0]
-    W = np.full((m, cfg.k), 1.0 / cfg.k)
+    W, _ = step_W(Xm, oa.H, default_init(Xm, cfg).W)
     fac = Factorization(H=oa.H.copy(), W=W, Wt=oa.Wt.copy())
-    fac.W, _ = step_W(Xm, fac.H, fac.W)
     # a copy, not dataclasses.replace, which reruns __post_init__ and its
     # ell < k warning
     warm = copy.copy(cfg)

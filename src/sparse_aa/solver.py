@@ -67,8 +67,12 @@ class SolveTrace:
     fits: list[float] = field(default_factory=list)
     regs: list[float] = field(default_factory=list)
     step_sizes: list[tuple[float, float, float]] = field(default_factory=list)
-    iterations: int = 0
     converged: bool = False
+
+    @property
+    def iterations(self) -> int:
+        """Accepted sweeps: one per objective after the starting one."""
+        return len(self.objectives) - 1
 
     def rows(self) -> list[tuple[int, float, float, float]]:
         return [
@@ -150,13 +154,21 @@ def step_Wt(X, H, Wt, lam, smax_x, wtx):
 
 
 def default_init(X, cfg: SaaConfig) -> Factorization:
-    """Feasible-by-construction start: uniform weights, thresholded Wt X."""
+    """The pipeline's one start: uniform weights and the thresholded Wt X."""
     Xm = as_matrix(X, "X")
     m = Xm.shape[0]
     W = np.full((m, cfg.k), 1.0 / cfg.k)
     Wt = np.full((cfg.k, m), 1.0 / m)
     H = _topk_raw(np.maximum(Wt @ Xm, 0.0), cfg.ell)
     return Factorization(H=H, W=W, Wt=Wt)
+
+
+def zero_init(X: np.ndarray, cfg: SaaConfig) -> Factorization:
+    """The paper's baseline start: H = 0 with uniform weight rows."""
+    (m, n), k = X.shape, cfg.k
+    return Factorization(
+        H=np.zeros((k, n)), W=np.full((m, k), 1.0 / k), Wt=np.full((k, m), 1.0 / m)
+    )
 
 
 def _sweep_raw(X, H, W, Wt, lam, ell, smax_x):
@@ -238,7 +250,6 @@ def solve(
         fit, reg, new_total = new
         l1, l2, l3 = ls
         change = _block_change((H1, W1, Wt1), (H, W, Wt))
-        trace.iterations += 1
         trace.objectives.append(new_total)
         trace.fits.append(fit)
         trace.regs.append(reg)

@@ -311,3 +311,13 @@ def test_hull_distance_rows_edge_shapes():
         hull_distance_rows(np.ones((2, 2)), Y)
     with pytest.raises(InvalidInputError):
         hull_distance(np.ones(3), np.zeros((0, 3)))
+
+
+@pytest.mark.parametrize(
+    "fn", [archetype_distance, archetype_distance_l1, nearest_row_assignment]
+)
+def test_row_matching_rejects_an_empty_second_set_and_a_column_mismatch(fn):
+    with pytest.raises(InvalidInputError, match="H2 must be nonempty"):
+        fn(np.ones((2, 3)), np.zeros((0, 3)))
+    with pytest.raises(InvalidInputError, match="column counts differ"):
+        fn(np.ones((2, 3)), np.ones((2, 4)))

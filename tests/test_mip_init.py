@@ -63,9 +63,11 @@ def test_eval_F_rejects_bad_patterns():
         eval_F(np.full((2, 3), 2.0), X, b)  # entries above 1
     with pytest.raises(InvalidInputError):
         eval_F(np.ones((2, 3)), X, b, ell=3)  # budget exceeded
-    # a start that is not k x m, and an X with no rows
+    # a start that is not k x m or not finite, and an X with no rows
     with pytest.raises(InvalidInputError):
         eval_F(np.ones((2, 3)), X, b, wt0=np.full((2, 4), 0.25))
+    with pytest.raises(InvalidInputError):
+        eval_F(np.ones((2, 3)), X, b, wt0=np.array([[np.nan, 0.5, 0.5], [1.0, 0.0, 0.0]]))
     with pytest.raises(InvalidInputError):
         eval_F(np.ones((2, 3)), np.zeros((0, 3)), b)
 
@@ -431,6 +433,47 @@ def test_continuation_warm_starts_stop_at_tolerance_floors(monkeypatch, lam, tol
     assert [c[0] for c in calls] == list(cfg.lambda_schedule)
     assert [c[1:] for c in calls] == expected
     assert cfg == before
+
+
+def test_default_init_seeds_oa_pattern_oa_wt_and_continuation_w(monkeypatch):
+    # a row-asymmetric start with non-uniform weights: OA's first evaluation
+    # must get its pattern and its Wt, and continuation's first solve
+    # W = step_W(X, oa.H, start.W)
+    from sparse_aa import Factorization
+    from sparse_aa.solver import step_W
+
+    X, *_ = synth_instance(10, 6, 2, 0.1, seed=31)
+    cfg = SaaConfig(k=2, ell=6, lam=(3.0, 1.0), max_iter=50)
+    rng = np.random.default_rng(5)
+    W = rng.uniform(size=(10, 2))
+    Wt = rng.uniform(size=(2, 10))
+    H = np.zeros((2, 6))
+    H[0, :4], H[1, 3:5] = 1.0, 2.0
+    start = Factorization(
+        H=H, W=W / W.sum(axis=1, keepdims=True), Wt=Wt / Wt.sum(axis=1, keepdims=True)
+    )
+    monkeypatch.setattr(mip_init, "default_init", lambda X, cfg: start.copy())
+    evals, inits = [], []
+    real_eval_F, real_solve = mip_init.eval_F, mip_init.solve
+
+    def recording_eval_F(Z, X, b, ell, wt0=None):
+        evals.append((np.array(Z), wt0))
+        return real_eval_F(Z, X, b, ell, wt0=wt0)
+
+    def recording_solve(X, init, cfg, lam=None):
+        inits.append(init.copy())
+        return real_solve(X, init, cfg, lam=lam)
+
+    monkeypatch.setattr(mip_init, "eval_F", recording_eval_F)
+    monkeypatch.setattr(mip_init, "solve", recording_solve)
+    oa = outer_approximation(X, cfg, max_rounds=2)
+    Z0, wt0 = evals[0]
+    np.testing.assert_array_equal(Z0, (H > 0.0).astype(np.float64))
+    np.testing.assert_array_equal(wt0, start.Wt)
+    continuation(X, cfg, oa=oa)
+    np.testing.assert_array_equal(inits[0].W, step_W(X, oa.H, start.W)[0])
+    np.testing.assert_array_equal(inits[0].H, oa.H)
+    np.testing.assert_array_equal(inits[0].Wt, oa.Wt)
 
 
 class CountingBackend(BranchAndBound):
