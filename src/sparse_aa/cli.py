@@ -34,7 +34,7 @@ from .local_search import local_search
 from .mip_init import NODE_CAP, BranchAndBound, continuation, outer_approximation
 from .solver import objective, solve, stationarity_residual, zero_init
 
-SCHEMA = "sparse-aa-v2"
+SCHEMA = "sparse-aa-v3"
 
 
 def parse_lambda(text: str) -> float | tuple[float, ...]:

@@ -67,11 +67,13 @@ class CutSet:
     best_lower: float = 0.0
 
     @property
-    def gap(self) -> float:
-        if not math.isfinite(self.best_upper):
-            return math.inf
+    def gap(self) -> float | None:
+        """Relative gap of the bounds; None while the lower bound is still
+        the trivial 0, which certifies nothing (F >= 0 certifies F = 0)."""
         if self.best_upper <= _F_ABS_STOP:
             return 0.0
+        if self.best_lower <= 0.0:
+            return None
         return (self.best_upper - self.best_lower) / self.best_upper
 
     def add(self, cut: Cut) -> None:

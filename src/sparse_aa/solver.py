@@ -154,13 +154,27 @@ def step_Wt(X, H, Wt, lam, smax_x, wtx):
 
 
 def default_init(X, cfg: SaaConfig) -> Factorization:
-    """The pipeline's one start: uniform weights and the thresholded Wt X."""
+    """The pipeline's one start: FurthestSum rows of X (Mørup & Hansen,
+    Neurocomputing 2012), uniform W and the thresholded Wt X.
+
+    The first archetype is the row of largest Euclidean norm; each next one
+    is the unchosen row with the largest summed Euclidean distance to the
+    rows already chosen, ties to the lowest index.  With m < k the choice
+    cycles through the m chosen rows.  Wt holds those rows' indicators, so
+    Wt X has k distinct rows whenever X does.
+    """
     Xm = as_matrix(X, "X")
-    m = Xm.shape[0]
-    W = np.full((m, cfg.k), 1.0 / cfg.k)
-    Wt = np.full((cfg.k, m), 1.0 / m)
+    m, k = Xm.shape[0], cfg.k
+    chosen = [int(np.argmax(np.linalg.norm(Xm, axis=1)))]
+    summed = np.zeros(m)
+    while len(chosen) < min(m, k):
+        summed += np.linalg.norm(Xm - Xm[chosen[-1]], axis=1)
+        summed[chosen] = -np.inf
+        chosen.append(int(np.argmax(summed)))
+    Wt = np.zeros((k, m))
+    Wt[np.arange(k), np.resize(chosen, k)] = 1.0
     H = _topk_raw(np.maximum(Wt @ Xm, 0.0), cfg.ell)
-    return Factorization(H=H, W=W, Wt=Wt)
+    return Factorization(H=H, W=np.full((m, k), 1.0 / k), Wt=Wt)
 
 
 def zero_init(X: np.ndarray, cfg: SaaConfig) -> Factorization:

@@ -315,11 +315,11 @@ def simplex_rows_oracle(A: np.ndarray) -> np.ndarray:
     return np.maximum(A - theta[:, None], 0.0)
 
 
-def sweep_loop_oracle(X, cfg, lam: float, momentum: bool = True):
+def sweep_loop_oracle(X, cfg, lam: float, start, momentum: bool = True):
     """The block proximal-gradient solve written out with no shared work.
 
-    Starts from the uniform weights and the thresholded ``Wt X``, and every
-    block step recomputes its residuals from scratch.  It reuses only the
+    Starts from the caller's factorization ``start``, and every block step
+    recomputes its residuals from scratch.  It reuses only the
     library's spectral norm and simplex projection, which the sweep
     calls unchanged.  With ``momentum`` each sweep after the
     first starts from the extrapolated point ``B + beta (B - B_prev)`` of
@@ -355,10 +355,7 @@ def sweep_loop_oracle(X, cfg, lam: float, momentum: bool = True):
         Wt1 = _simplex_rows_raw(Wt + (lam / l3) * ((H1 - Wt @ X) @ X.T))
         return H1, W1, Wt1, (0.5 / l1, 0.5 / l2, 0.5 / l3 if l3 > 0 else np.inf), tie
 
-    m, k = X.shape[0], cfg.k
-    W = np.full((m, k), 1.0 / k)
-    Wt = np.full((k, m), 1.0 / m)
-    H, _ = topk_argsort_oracle(np.maximum(Wt @ X, 0.0), cfg.ell)
+    H, W, Wt = start.H, start.W, start.Wt
     Hp, Wp, Wtp = H, W, Wt
     sx = _spectral_norm_raw(X)
     total = psi(H, W, Wt)

@@ -111,11 +111,12 @@ def test_fit_zero_init_and_local_search(synth_dir, tmp_path):
 def test_fit_summary_certifies_the_written_factorization(tmp_path, init):
     # the README data and fit: local search accepts swaps after the last
     # continuation solve, so only a certificate of the written H, W, Wt holds
+    # (with the default 50 OA rounds; after 3 it accepts none)
     data, out = tmp_path / "data", tmp_path / "fit"
     assert run(["synth", "--m", 20, "--n", 10, "--k", 3, "--sigma-z", 0.1,
                 "--seed", 7, "--out", data]) == 0
     assert run(["fit", "--data", data / "X.csv", "--k", 3, "--ell", 15, "--init", init,
-                "--oa-rounds", 3, "--local-search", "on", "--out", out]) == 0
+                "--local-search", "on", "--out", out]) == 0
     summary = read_json(out / "summary.json")
     assert summary["swaps_accepted"] > 0
     fac = Factorization(*(read_matrix_csv(out / f"{name}.csv") for name in ("H", "W", "Wt")))
@@ -210,6 +211,47 @@ def test_eval_exact_recovery_gives_zero_distances(synth_dir, tmp_path):
     assert float(row["strong"]) <= 1e-12
 
 
+def test_eval_accepts_older_fit_directories(synth_dir, tmp_path):
+    # eval reads only config.ell and objective.total: a sparse-aa-v2 summary,
+    # which wrote a gap of 1.0 without a lower bound, evaluates the same
+    fits = {"v3": tmp_path / "v3", "v2": tmp_path / "v2"}
+    assert run(fit_args(synth_dir, fits["v3"])) == 0
+    fits["v2"].mkdir()
+    (fits["v2"] / "H.csv").write_bytes((fits["v3"] / "H.csv").read_bytes())
+    summary = read_json(fits["v3"] / "summary.json")
+    summary["schema"], summary["mip"]["gap"] = "sparse-aa-v2", 1.0
+    with open(fits["v2"] / "summary.json", "w") as fh:
+        json.dump(summary, fh)
+    rows = {}
+    for name, fit in fits.items():
+        out = tmp_path / f"ev-{name}"
+        assert run(["eval", "--truth", synth_dir, "--fit", fit, "--out", out]) == 0
+        with open(out / "reports.csv") as fh:
+            (rows[name],) = csv.DictReader(fh)
+        assert rows[name].pop("fit") == str(fit)
+    assert rows["v2"] == rows["v3"]
+
+
+@pytest.mark.parametrize("case", ["no-bound", "lifted-bound"])
+def test_fit_summary_mip_gap_is_a_certificate_or_null(tmp_path, case):
+    if case == "no-bound":
+        # no master lifts the README instance's lower bound off 0
+        X, k, ell = read_matrix_csv(readme_data(tmp_path) / "X.csv"), 3, 15
+    else:
+        # test_mip_init's late-lift instance: its ninth master lifts it
+        X, k, ell = np.random.default_rng(17).uniform(size=(4, 3)), 2, 2
+    write_matrix_csv(tmp_path / "X.csv", X)
+    out = tmp_path / "fit"
+    assert run(["fit", "--data", tmp_path / "X.csv", "--k", k, "--ell", ell,
+                "--oa-rounds", 10, "--out", out]) == 0
+    mip = read_json(out / "summary.json")["mip"]
+    if case == "no-bound":
+        assert mip["best_lower"] == 0.0 and mip["gap"] is None
+    else:
+        assert 0.0 < mip["best_lower"] < mip["best_upper"]
+        assert mip["gap"] == (mip["best_upper"] - mip["best_lower"]) / mip["best_upper"]
+
+
 def test_fit_warns_when_continuation_hits_max_iter(synth_dir, tmp_path, capsys):
     out = tmp_path / "capped"
     assert run(fit_args(synth_dir, out, **{"--max-iter": 2})) == 0
@@ -246,13 +288,14 @@ def crlf_lines(path):
 
 def test_csv_artifacts_pin_their_format(tmp_path, monkeypatch):
     # the README data and fit: exact headers, CRLF line endings, and floats as
-    # f"{v:.17g}", so the last objective of each file is summary.json's Psi
+    # f"{v:.17g}", so the last objective of each file is summary.json's Psi;
+    # local search accepts swaps after the default 50 OA rounds, none after 3
     data = readme_data(tmp_path)
     fits = {}
-    for ls in ("on", "off"):
+    for ls, rounds in (("on", 50), ("off", 3)):
         fits[ls] = tmp_path / f"fit-{ls}"
         assert run(["fit", "--data", data / "X.csv", "--k", 3, "--ell", 15,
-                    "--oa-rounds", 3, "--local-search", ls, "--out", fits[ls]]) == 0
+                    "--oa-rounds", rounds, "--local-search", ls, "--out", fits[ls]]) == 0
     assert run(["eval", "--truth", data, "--fit", fits["on"], "--out", tmp_path / "rep"]) == 0
 
     def psi(fit):
@@ -260,7 +303,7 @@ def test_csv_artifacts_pin_their_format(tmp_path, monkeypatch):
 
     trace = crlf_lines(fits["off"] / "trace.csv")
     assert trace[0] == "schema,iteration,fit,reg,total"
-    assert trace[-1].startswith(f"sparse-aa-v2,{len(trace) - 2},")
+    assert trace[-1].startswith(f"sparse-aa-v3,{len(trace) - 2},")
     assert trace[-1].split(",")[-1] == psi(fits["off"])
     swaps = crlf_lines(fits["on"] / "swaps.csv")
     assert swaps[0] == "schema,leaving_i,leaving_j,entering_i,entering_j,t,objective"
@@ -282,7 +325,7 @@ def test_csv_artifacts_pin_their_format(tmp_path, monkeypatch):
     out = tmp_path / "below"
     assert run(["fit", "--data", data / "X.csv", "--k", 3, "--ell", 15, "--init", "zero",
                 "--lambda", 1, "--local-search", "on", "--out", out]) == 0
-    assert crlf_lines(out / "swaps.csv")[1:] == ["sparse-aa-v2,,,2,4,0.5,1.25"]
+    assert crlf_lines(out / "swaps.csv")[1:] == ["sparse-aa-v3,,,2,4,0.5,1.25"]
 
 
 def test_fit_non_finite_projection_is_numerical_failure(tmp_path, capsys):
@@ -415,7 +458,7 @@ def test_fit_summary_config_is_the_estimator_and_solver_settings(synth_dir, tmp_
     out = tmp_path / "cfg"
     assert run(fit_args(synth_dir, out)) == 0
     summary = read_json(out / "summary.json")
-    assert summary["schema"] == "sparse-aa-v2"
+    assert summary["schema"] == "sparse-aa-v3"
     assert set(summary["config"]) == {
         "k", "ell", "lambda", "tol_objective", "tol_stationary", "max_iter"
     }

@@ -20,7 +20,7 @@ from sparse_aa import (
     synth_instance,
 )
 from sparse_aa.local_search import _fit_weights_rows, _fixed_factor, _reduced_lsq
-from sparse_aa.solver import grad_H
+from sparse_aa.solver import grad_H, zero_init
 from oracles import golden_section_min, hull_qp_oracle, swap_refit_oracle
 
 
@@ -135,10 +135,20 @@ def test_swap_refit_self_swap_is_noop_up_to_refit():
     X, *_ = synth_instance(8, 4, 2, 0.1, seed=5)
     cfg = SaaConfig(k=2, ell=4, lam=1.0, max_iter=2_000, tol_stationary=1e-5)
     fac, _ = solve(X, None, cfg)
-    before = objective(X, fac, 1.0).total
     coord = select_leaving(fac.H)
     out, after = swap_refit(X, fac, 1.0, leaving=coord, entering=coord)
-    assert after <= before + 1e-9
+    # the one pass refits W and Wt with the entry at 0, so it can end above
+    # the caller's objective (0.403 against 0.328 here; local search rejects
+    # such a swap); it promises no rise over its start with the entry dropped
+    H_minus = fac.H.copy()
+    H_minus[coord] = 0.0
+    start = objective(X, Factorization(H=H_minus, W=fac.W, Wt=fac.Wt), 1.0).total
+    assert after <= start + 1e-9
+    assert after == objective(X, out, 1.0).total
+    # only the swapped entry's value moves
+    assert np.array_equal(out.H != 0.0, fac.H != 0.0)
+    H_minus[coord] = out.H[coord]
+    assert out.H.tobytes() == H_minus.tobytes()
     out.validate(cfg.ell)
 
 
@@ -330,8 +340,10 @@ def swap_refit_case(name):
         fac = feasible_fac(rng, m=6, k=2, n=4, ell=5)
         return rng.uniform(size=(6, 4)), fac, 0.7, select_leaving(fac.H)
     if name == "identical-rows":
+        # the symmetric zero start keeps every archetype row identical
         X, *_ = synth_instance(20, 10, 3, 0.1, seed=7)
-        fac, _ = solve(X, None, SaaConfig(k=3, ell=15, lam=1.0, max_iter=500))
+        cfg = SaaConfig(k=3, ell=15, lam=1.0, max_iter=500)
+        fac, _ = solve(X, zero_init(X, cfg), cfg)
         assert len({tuple(row) for row in fac.H}) == 1
         return X, fac, 1.0, select_leaving(fac.H)
     X, *_ = synth_instance(12, 30, 4, 0.1, seed=3)  # under budget: nothing leaves
@@ -354,10 +366,12 @@ def test_swap_refit_matches_residual_form_oracle(name):
 
 
 def test_local_search_accepts_the_oracle_swap_sequence(monkeypatch):
+    # from the symmetric zero start the archetype rows coincide, so local
+    # search has a sequence of swaps to accept
     X, *_ = synth_instance(23, 10, 3, 0.1, seed=0)
     cfg = SaaConfig(k=3, ell=15, lam=tuple(np.geomspace(30.0, 1.0, 4)),
                     max_iter=2_000, tol_stationary=1e-5)
-    fac, _ = solve(X, None, cfg)
+    fac, _ = solve(X, zero_init(X, cfg), cfg)
     _, n_swaps, log = local_search(X, fac, cfg)
 
     def oracle_refit(X, fac, lam, leaving, entering, stats=None, x_fixed=None):
@@ -416,11 +430,12 @@ def test_weight_fit_reaches_the_hull_distance_minimum(name):
 
 
 def test_local_search_factors_x_once(monkeypatch):
-    # X is fixed for the whole search, so its QR is taken once, not per refit
+    # X is fixed for the whole search, so its QR is taken once, not per
+    # refit; the symmetric zero start leaves several refits to count
     X, *_ = synth_instance(23, 10, 3, 0.1, seed=0)
     cfg = SaaConfig(k=3, ell=15, lam=tuple(np.geomspace(30.0, 1.0, 4)),
                     max_iter=2_000, tol_stationary=1e-5)
-    fac, _ = solve(X, None, cfg)
+    fac, _ = solve(X, zero_init(X, cfg), cfg)
     ls_mod = importlib.import_module("sparse_aa.local_search")
     qr, refit = np.linalg.qr, ls_mod.swap_refit
     x_qrs, refits = [], []

@@ -13,6 +13,7 @@ from sparse_aa import (
     continuation,
     eval_F,
     hull_distance,
+    local_search,
     milp_min_cuts,
     nnz,
     norm_bound_b,
@@ -24,6 +25,7 @@ from sparse_aa import (
 )
 import sparse_aa.mip_init as mip_init
 from sparse_aa.cli import zero_init
+from sparse_aa.mip_init import CutSet
 from oracles import branch_and_bound_oracle, milp_enum_oracle
 
 
@@ -476,6 +478,22 @@ def test_default_init_seeds_oa_pattern_oa_wt_and_continuation_w(monkeypatch):
     np.testing.assert_array_equal(inits[0].Wt, oa.Wt)
 
 
+@pytest.mark.parametrize("seed", [2, 5])
+def test_wide_fit_does_not_depend_on_row_order(seed):
+    # the wide benchmark's pipeline (OA 3 rounds at the default node cap,
+    # continuation, local search) on six orders of the same rows: F, Psi and
+    # the start do not depend on the order, so the final Psi agrees
+    X, *_ = synth_instance(40, 300, 5, 0.1, seed=seed)
+    cfg = SaaConfig(k=5, ell=750, lam=tuple(np.geomspace(30.0, 1.0, 8)))
+    psis = []
+    for p in range(6):
+        Xp = X if p == 0 else X[np.random.default_rng(p).permutation(40)]
+        oa = outer_approximation(Xp, cfg, max_rounds=3, backend=BranchAndBound(node_cap=4_000))
+        fac = local_search(Xp, continuation(Xp, cfg, oa=oa)[0], cfg)[0]
+        psis.append(objective(Xp, fac, cfg.final_lambda).total)
+    assert max(psis) - min(psis) <= 1e-6 * min(psis)
+
+
 class CountingBackend(BranchAndBound):
     """Exact or capped master that records each solution's pattern and bound."""
 
@@ -496,7 +514,7 @@ def oa_exit_instance():
 
 def late_lift_instance():
     # the ninth master is the first whose eta lifts the bound
-    X = np.random.default_rng(0).uniform(size=(4, 3))
+    X = np.random.default_rng(17).uniform(size=(4, 3))
     return X, SaaConfig(k=2, ell=2, lam=1.0)
 
 
@@ -512,6 +530,14 @@ def test_oa_exit_gap_closed_after_master():
     assert cs.best_upper - cs.best_lower <= 1e-6 * cs.best_upper
 
 
+def test_cutset_gap_is_a_certificate_or_none():
+    cs = CutSet(best_upper=2.0)
+    assert cs.gap is None  # the trivial lower bound 0 certifies nothing
+    cs.best_lower = 0.5
+    assert cs.gap == 0.75
+    assert CutSet(best_upper=0.0).gap == 0.0  # F >= 0 certifies F = 0
+
+
 def test_oa_exit_repeated_pattern():
     # a one-node master cannot certify, so it proposes a pattern already cut
     X, *_ = synth_instance(10, 5, 2, 0.1, seed=13)
@@ -520,8 +546,9 @@ def test_oa_exit_repeated_pattern():
     res = outer_approximation(X, cfg, max_rounds=30, backend=backend)
     cs = res.cutset
     assert res.converged
-    assert res.rounds == len(cs.cuts) == len(backend.solutions) == 10
-    assert cs.gap > 1e-6
+    assert res.rounds == len(cs.cuts) == len(backend.solutions) == 11
+    # its one-node masters leave the bound at 0: no gap is certified
+    assert cs.best_lower == 0.0 and cs.gap is None
     last_Z = backend.solutions[-1][0]
     assert any(np.array_equal(c.pattern, last_Z) for c in cs.cuts)
 

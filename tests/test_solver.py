@@ -22,8 +22,14 @@ from sparse_aa.solver import (
     step_H,
     step_W,
     step_Wt,
+    zero_init,
 )
-from oracles import central_diff_grad, objective_loops_oracle, sweep_loop_oracle
+from oracles import (
+    central_diff_grad,
+    objective_loops_oracle,
+    sweep_loop_oracle,
+    topk_argsort_oracle,
+)
 
 
 def random_feasible(rng, m=5, k=3, n=4, ell=8):
@@ -263,6 +269,76 @@ def test_default_init_feasible():
     fac.validate(cfg.ell)
 
 
+def chosen_rows(fac):
+    """The rows of X that ``default_init``'s indicator Wt picks, in order."""
+    assert np.all((fac.Wt == 0.0) | (fac.Wt == 1.0))
+    assert np.all(fac.Wt.sum(axis=1) == 1.0)
+    return [int(i) for i in np.argmax(fac.Wt, axis=1)]
+
+
+def test_default_init_takes_furthest_sum_rows():
+    # largest norm first, then the largest summed distance to the chosen rows
+    X, *_ = synth_instance(12, 6, 3, 0.2, seed=14)
+    cfg = SaaConfig(k=4, ell=9, lam=1.0)
+    fac = default_init(X, cfg)
+    rows = chosen_rows(fac)
+    want = [int(np.argmax(np.linalg.norm(X, axis=1)))]
+    while len(want) < cfg.k:
+        summed = sum(np.linalg.norm(X - X[i], axis=1) for i in want)
+        summed[want] = -np.inf
+        want.append(int(np.argmax(summed)))
+    assert rows == want
+    assert len(set(rows)) == cfg.k
+    np.testing.assert_array_equal(fac.W, np.full((12, 4), 0.25))
+    np.testing.assert_array_equal(fac.H, topk_argsort_oracle(np.maximum(X[rows], 0.0), 9)[0])
+
+
+def test_default_init_duplicate_rows_tie_to_the_lowest_index():
+    # rows 1 and 3 tie for the largest norm, rows 2 and 4 for the largest
+    # distance to row 1, and rows 3 and 4 again for the fourth pick
+    X = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 0.0], [0.0, 2.0]])
+    assert chosen_rows(default_init(X, SaaConfig(k=3, ell=6))) == [1, 2, 0]
+    assert chosen_rows(default_init(X, SaaConfig(k=4, ell=8))) == [1, 2, 0, 3]
+
+
+def test_default_init_cycles_when_m_below_k():
+    X = np.array([[1.0, 0.0, 0.5], [0.0, 3.0, 1.0]])
+    fac = default_init(X, SaaConfig(k=5, ell=15))
+    assert chosen_rows(fac) == [1, 0, 1, 0, 1]
+    np.testing.assert_array_equal(fac.H, X[[1, 0, 1, 0, 1]])
+    fac.validate(15)
+
+
+def test_default_init_zero_data():
+    # every norm and distance is 0: the lowest free index wins each pick
+    X = np.zeros((5, 3))
+    fac = default_init(X, SaaConfig(k=3, ell=4))
+    assert chosen_rows(fac) == [0, 1, 2]
+    assert not fac.H.any()
+    fac.validate(4)
+
+
+def test_default_init_is_deterministic_and_follows_row_order():
+    X, *_ = synth_instance(40, 30, 5, 0.1, seed=3)
+    cfg = SaaConfig(k=5, ell=75)
+    a, b = default_init(X, cfg), default_init(X, cfg)
+    for M, N in ((a.H, b.H), (a.W, b.W), (a.Wt, b.Wt)):
+        assert M.tobytes() == N.tobytes()
+    perm = np.random.default_rng(1).permutation(40)
+    c = default_init(X[perm], cfg)
+    assert [int(perm[i]) for i in chosen_rows(c)] == chosen_rows(a)
+    assert c.H.tobytes() == a.H.tobytes()
+
+
+def test_zero_init_stays_symmetric():
+    # the paper's baseline start does not take the FurthestSum rows
+    X, *_ = synth_instance(12, 6, 3, 0.2, seed=14)
+    fac = zero_init(X, SaaConfig(k=3, ell=9))
+    assert fac.H.tobytes() == np.zeros((3, 6)).tobytes()
+    assert fac.W.tobytes() == np.full((12, 3), 1.0 / 3.0).tobytes()
+    assert fac.Wt.tobytes() == np.full((3, 12), 1.0 / 12.0).tobytes()
+
+
 def test_every_iterate_feasible():
     from sparse_aa.solver import _sweep_raw
 
@@ -299,8 +375,8 @@ def test_stationarity_residual_flags_boundary_ties(ell, tie):
 
 def tie_instance():
     """Duplicated columns: H-step targets repeat values, so top-ell ties occur."""
-    B = np.random.default_rng(1).uniform(size=(10, 3))
-    return np.hstack([B, B]), SaaConfig(k=3, ell=7)
+    B = np.random.default_rng(0).uniform(size=(10, 3))
+    return np.hstack([B, B]), SaaConfig(k=3, ell=15)
 
 
 def random_instance():
@@ -312,10 +388,11 @@ def test_solve_matches_sweep_loop_oracle_bit_for_bit(make):
     X, base = make()
     cfg = SaaConfig(k=base.k, ell=base.ell, max_iter=300, tol_objective=1e-300, tol_stationary=1e-300)
     fac, trace = solve(X, None, cfg, lam=1.0)
-    H, W, Wt, objectives, steps, ties, rejects = sweep_loop_oracle(X, cfg, 1.0)
+    oracle = sweep_loop_oracle(X, cfg, 1.0, default_init(X, cfg))
+    H, W, Wt, objectives, steps, ties, rejects = oracle
     assert trace.iterations == len(objectives) - 1
     # with tolerances of 1e-300 only an exact fixed point (no block moves)
-    # stops before the cap; the tie instance reaches one after 201 sweeps
+    # stops before the cap; both sides start from default_init
     assert trace.iterations == 300 or stationarity_residual(X, fac, cfg).residual == 0.0
     assert trace.objectives == objectives
     assert trace.step_sizes == steps
@@ -330,7 +407,7 @@ def test_solve_matches_sweep_loop_oracle_bit_for_bit(make):
 def test_momentum_converges_where_the_plain_loop_stops_at_its_cap():
     X = synth_instance(20, 10, 3, 0.1, seed=7)[0]
     cfg = SaaConfig(k=3, ell=15, max_iter=1_000)
-    plain = sweep_loop_oracle(X, cfg, 1.0, momentum=False)[3]
+    plain = sweep_loop_oracle(X, cfg, 1.0, default_init(X, cfg), momentum=False)[3]
     fac, trace = solve(X, None, cfg, lam=1.0)
     assert len(plain) - 1 == cfg.max_iter  # the plain loop is cut by its cap
     assert trace.converged and trace.iterations < cfg.max_iter
