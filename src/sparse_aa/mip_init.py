@@ -208,6 +208,15 @@ class BranchAndBound:
     budget) within a call.  The greedy completion of a node's one-child is
     skipped when that child's bound already exceeds the incumbent by more
     than a rounding slack, since it cannot win.
+
+    The free set and its gradient columns (``G.take(free, axis=1)``) are
+    gathered once per depth; both child bounds and the child's greedy
+    completion read that one gather.  Every sum keeps the order of the
+    F-ordered fancy-indexed copies in ``tests/oracles.py``, so the search
+    matches that oracle bit for bit: each cut sums its terms left to right
+    when there are several cuts, and pairwise when there is one
+    (``np.minimum(..., order="F").sum(axis=1)`` for a bound,
+    ``G.T.compress(ones, axis=0).T.sum(axis=1)`` for a leaf value).
     """
 
     def __init__(self, node_cap: int | None = NODE_CAP):
@@ -223,10 +232,15 @@ class BranchAndBound:
         G = np.asarray(grads, dtype=np.float64).reshape(len(offs), k * n)
         if len(offs) == 0:
             raise InvalidInputError("minimize_cuts: need at least one cut")
+        if not (np.isfinite(offs).all() and np.isfinite(G).all()):
+            raise InvalidInputError(
+                "minimize_cuts: cut offsets and gradients must be finite"
+            )
         if np.any(G > 1e-12):
             raise InvalidInputError("minimize_cuts: cut gradients must be <= 0")
         N = k * n
         budget = int(min(ell, N))
+        GT = G.T.copy()  # leaf values and branching steps read rows of G.T
 
         impact = -G.sum(axis=0)
         free0 = np.flatnonzero(impact > 0.0)
@@ -238,23 +252,30 @@ class BranchAndBound:
         rank[perm] = np.arange(free0.size)
         n_free = free0.size
 
-        def free_at(depth: int) -> np.ndarray:
-            return free0[rank >= depth]
+        at_depth, free_idx, G_free = -1, free0, G
+
+        def gather(depth: int) -> tuple[np.ndarray, np.ndarray]:
+            # the free set at depth and its gradient columns, kept until the
+            # depth changes
+            nonlocal at_depth, free_idx, G_free
+            if depth != at_depth:
+                free_idx = free0[rank >= depth]
+                at_depth, G_free = depth, G.take(free_idx, axis=1)
+            return free_idx, G_free
 
         sums: dict[tuple[int, int], np.ndarray] = {}
 
         def node_bound(base: np.ndarray, depth: int, room: int) -> float:
             # base[i] = offs[i] + sum of G_i over the fixed ones
             if room <= 0 or depth == n_free:
-                return float(base.max())
+                return max(base.tolist())
             S = sums.get((depth, room))
             if S is None:
-                free_idx = free_at(depth)
-                sub = G[:, free_idx]
-                if free_idx.size > room:
-                    sub = np.partition(sub, room - 1, axis=1)[:, :room]
-                S = sums[depth, room] = np.minimum(sub, 0.0).sum(axis=1)
-            return float((base + S).max())
+                part = gather(depth)[1]
+                if part.shape[1] > room:
+                    part = np.partition(part, room - 1, axis=1)[:, :room]
+                S = sums[depth, room] = np.minimum(part, 0.0, order="F").sum(axis=1)
+            return max((base + S).tolist())
 
         best_val = math.inf
         best_ones: np.ndarray | None = None
@@ -267,7 +288,7 @@ class BranchAndBound:
 
         def consider(ones: np.ndarray) -> None:
             nonlocal best_val, best_ones
-            val = float((offs + G[:, ones].sum(axis=1)).max())
+            val = max((offs + GT.compress(ones, axis=0).T.sum(axis=1)).tolist())
             if val < best_val or (
                 val == best_val
                 and best_ones is not None
@@ -279,8 +300,9 @@ class BranchAndBound:
         # start from each cut's greedy pattern over the free variables, then
         # from the all-zeros pattern, which is always feasible
         zeros = np.zeros(N, dtype=bool)
+        idx, sub = gather(0)
         for i in range(len(offs)):
-            consider(_greedy_completion(G, zeros, free0, budget, i))
+            consider(_greedy_completion(zeros, idx, sub[i], budget))
         consider(zeros)
 
         fixed1 = np.zeros(N, dtype=bool)
@@ -311,23 +333,24 @@ class BranchAndBound:
             j = int(order[depth])
             f1_one = f1.copy()
             f1_one[j] = True
-            base_one = base + G[:, j]
+            base_one = base + GT[j]
             room_one = room - 1
             bound_one = node_bound(base_one, depth + 1, room_one)
             if bound_one <= best_val + slack:
+                idx, sub = gather(depth + 1)
                 consider(
-                    _greedy_completion(
-                        G, f1_one, free_at(depth + 1), room_one, int(base_one.argmax())
-                    )
+                    _greedy_completion(f1_one, idx, sub[base_one.argmax()], room_one)
                 )
+            bound_zero = node_bound(base, depth + 1, room)
             children = [
-                (node_bound(base, depth + 1, room), f1, base, room, 0),
-                (bound_one, f1_one, base_one, room_one, 1),
+                (bound_zero, f1, base, room),
+                (bound_one, f1_one, base_one, room_one),
             ]
-            # pop order is LIFO: push the worse-bound child first (ties: the
+            # pop order is LIFO: push the higher-bound child first (ties: the
             # one-child first so the zero-child is explored first)
-            children.sort(key=lambda c: (-c[0], -c[4]))
-            for bc, f1c, basec, roomc, _ in children:
+            if bound_one >= bound_zero:
+                children.reverse()
+            for bc, f1c, basec, roomc in children:
                 if bc < best_val or (
                     bc == best_val and _lex_smaller(f1c, best_ones)
                 ):
@@ -343,12 +366,12 @@ class BranchAndBound:
 
 
 def _greedy_completion(
-    G: np.ndarray, fixed1: np.ndarray, free_idx: np.ndarray, room: int, i: int
+    fixed1: np.ndarray, free_idx: np.ndarray, vals: np.ndarray, room: int
 ) -> np.ndarray:
-    """``fixed1`` plus the up-to-``room`` most negative free gradients of cut ``i``."""
+    """``fixed1`` plus the up-to-``room`` most negative of ``vals``, one
+    cut's gradients over ``free_idx``."""
     ones = fixed1.copy()
     if room > 0 and free_idx.size:
-        vals = G[i, free_idx]
         if free_idx.size > room:
             pick = vals.argpartition(room - 1)[:room]
         else:

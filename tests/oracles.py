@@ -85,6 +85,11 @@ def branch_and_bound_oracle(offsets, grads, shape, ell, node_cap=None):
     by an argmax over the free summed gradients and deletes it for its
     children, and every node bound sums its greedy gradients afresh.
     Returns ``(Z, eta, optimal, nodes)``.
+
+    Its sums fix the bit contract that ``BranchAndBound`` keeps: the
+    fancy-indexed copies ``G[:, free_idx]`` and ``G[:, ones]`` are
+    F-ordered, so each cut's bound and leaf sum runs left to right when
+    there are several cuts and pairwise when there is one.
     """
     k, n = shape
     offs = np.asarray(offsets, dtype=np.float64)

@@ -254,6 +254,57 @@ def test_branch_and_bound_matches_oracle_bits(seed, node_cap):
     assert (sol.eta, sol.optimal, sol.nodes) == (eta, optimal, nodes)
 
 
+def wide_master(n_cuts, seed):
+    """A cut master at the benchmark's wide shape (k=5, n=300, ell=750).
+
+    Two cuts have disjoint negative supports that cover all 1,500 entries,
+    as in the wide fit's capped master, and compete for the max.  One and
+    three cuts draw their supports at random; with three, the first cut
+    dominates, so the search closes under the cap and ``eta`` is a leaf
+    value summed left to right."""
+    rng = np.random.default_rng(seed)
+    k, n, ell = 5, 300, 750
+    G = -rng.exponential(size=(n_cuts, k * n))
+    if n_cuts == 2:
+        mask = np.zeros(k * n, dtype=bool)
+        mask[rng.permutation(k * n)[:723]] = True
+        G[0, ~mask] = 0.0
+        G[1, mask] = 0.0
+    else:
+        G *= rng.random((n_cuts, k * n)) < 0.6
+    scale = [0.9, 0.3, 0.3] if n_cuts == 3 else rng.uniform(0.5, 0.7, size=n_cuts)
+    offsets = -G.sum(axis=1) * scale
+    return offsets, G, (k, n), ell
+
+
+@pytest.mark.parametrize("node_cap", [50, 300])
+@pytest.mark.parametrize("n_cuts", [1, 2, 3])
+def test_branch_and_bound_matches_oracle_bits_at_wide_shape(n_cuts, node_cap):
+    # large free sets run the bound's partition path, and one cut sums
+    # pairwise where several sum left to right per cut
+    offsets, G, shape, ell = wide_master(n_cuts, seed=n_cuts)
+    sol = BranchAndBound(node_cap).minimize_cuts(offsets, G, shape, ell)
+    Z, eta, optimal, nodes = branch_and_bound_oracle(offsets, G, shape, ell, node_cap)
+    assert sol.Z.tobytes() == Z.tobytes()
+    assert (sol.eta, sol.optimal, sol.nodes) == (eta, optimal, nodes)
+    assert np.float64(sol.eta).tobytes() == np.float64(eta).tobytes()
+
+
+@pytest.mark.parametrize(
+    "offsets, grads",
+    [
+        ([math.nan], [[-1.0, -2.0]]),
+        ([math.inf], [[-1.0, -2.0]]),
+        ([1.0], [[math.nan, -2.0]]),
+        ([1.0], [[-math.inf, -2.0]]),
+    ],
+    ids=["nan-offset", "inf-offset", "nan-grad", "neg-inf-grad"],
+)
+def test_branch_and_bound_rejects_non_finite_cuts(offsets, grads):
+    with pytest.raises(InvalidInputError, match="finite"):
+        BranchAndBound().minimize_cuts(offsets, grads, (1, 2), 1)
+
+
 def test_milp_requires_cuts():
     with pytest.raises(InvalidInputError):
         milp_min_cuts([], 2, 2, 2)
