@@ -141,15 +141,20 @@ def eval_F(
     smax = spectral_norm(Xm) if Xm.size else 0.0
 
     def residual(Wt: np.ndarray) -> np.ndarray:
+        # Wt X - clip(Wt X, 0, upper), in the one buffer of the clip
         A = Wt @ Xm
-        return A - np.clip(A, 0.0, upper)
+        r = np.maximum(A, 0.0)
+        np.minimum(r, upper, out=r)
+        return np.subtract(A, r, out=r)
 
     def f(Wt: np.ndarray) -> float:
         r = residual(Wt)
-        return float(np.sum(r * r))
+        return float(np.multiply(r, r, out=r).sum())
 
     def grad(Wt: np.ndarray) -> np.ndarray:
-        return 2.0 * residual(Wt) @ Xm.T
+        r = residual(Wt)
+        r *= 2.0
+        return r @ Xm.T
 
     # F <= k smax^2 is below _F_ABS_STOP on tiny or zero X: keep the start
     Wt, val, _ = _minimize(
@@ -212,11 +217,14 @@ class BranchAndBound:
     The free set and its gradient columns (``G.take(free, axis=1)``) are
     gathered once per depth; both child bounds and the child's greedy
     completion read that one gather.  Every sum keeps the order of the
-    F-ordered fancy-indexed copies in ``tests/oracles.py``, so the search
-    matches that oracle bit for bit: each cut sums its terms left to right
-    when there are several cuts, and pairwise when there is one
-    (``np.minimum(..., order="F").sum(axis=1)`` for a bound,
-    ``G.T.compress(ones, axis=0).T.sum(axis=1)`` for a leaf value).
+    F-ordered fancy-indexed copies in ``tests/oracles.py``: each cut sums
+    its terms left to right when there are several cuts, and pairwise when
+    there is one.  With 2-4 cuts a C-ordered ``cumsum(axis=1)[:, -1]``
+    gives the left-to-right sums; otherwise an F-ordered ``sum(axis=1)``
+    does, as in the oracle.  The search matches that oracle bit for bit on
+    one machine and numpy build; both sides call ``np.partition``, whose
+    arrangement of a row, and so its bound sums, follows numpy's SIMD
+    dispatch.
     """
 
     def __init__(self, node_cap: int | None = NODE_CAP):
@@ -241,6 +249,18 @@ class BranchAndBound:
         N = k * n
         budget = int(min(ell, N))
         GT = G.T.copy()  # leaf values and branching steps read rows of G.T
+        # each row sum keeps the oracle's order, left to right with several
+        # cuts and pairwise with one, as an F-ordered row sum does; with 2-4
+        # cuts a C-ordered cumsum gives the same bits faster, and with more
+        # cuts on short rows it is the slower one
+        few = 1 < len(offs) < 5
+
+        def row_sums(A: np.ndarray) -> np.ndarray:
+            # one cut's terms per row; fresh, as a cached cumsum view would
+            # keep its whole block alive
+            if few and A.shape[1]:
+                return A.cumsum(axis=1)[:, -1].copy()
+            return np.asfortranarray(A).sum(axis=1)
 
         impact = -G.sum(axis=0)
         free0 = np.flatnonzero(impact > 0.0)
@@ -271,10 +291,12 @@ class BranchAndBound:
                 return max(base.tolist())
             S = sums.get((depth, room))
             if S is None:
-                part = gather(depth)[1]
+                part = gather(depth)[1].copy()
                 if part.shape[1] > room:
-                    part = np.partition(part, room - 1, axis=1)[:, :room]
-                S = sums[depth, room] = np.minimum(part, 0.0, order="F").sum(axis=1)
+                    part.partition(room - 1, axis=1)
+                    part = part[:, :room]
+                np.minimum(part, 0.0, out=part)
+                S = sums[depth, room] = row_sums(part)
             return max((base + S).tolist())
 
         best_val = math.inf
@@ -288,7 +310,7 @@ class BranchAndBound:
 
         def consider(ones: np.ndarray) -> None:
             nonlocal best_val, best_ones
-            val = max((offs + GT.compress(ones, axis=0).T.sum(axis=1)).tolist())
+            val = max((offs + row_sums(GT.compress(ones, axis=0).T)).tolist())
             if val < best_val or (
                 val == best_val
                 and best_ones is not None

@@ -91,10 +91,12 @@ class StationarityReport:
 
 def _objective_raw(X, H, W, Wt, lam: float):
     """``(fit, reg, total)`` on plain arrays."""
-    r1 = X - W @ H
-    r2 = H - Wt @ X
-    fit = float(np.sum(r1 * r1))
-    reg = float(np.sum(r2 * r2))
+    r1 = W @ H
+    np.subtract(X, r1, out=r1)
+    r2 = Wt @ X
+    np.subtract(H, r2, out=r2)
+    fit = float(np.multiply(r1, r1, out=r1).sum())
+    reg = float(np.multiply(r2, r2, out=r2).sum())
     return fit, reg, fit + lam * reg
 
 
@@ -121,8 +123,19 @@ def grad_Wt(X, fac: Factorization, lam: float) -> np.ndarray:
 
 def _h_target_raw(X, H, W, lam, l1, wtx):
     """Clamped gradient step on H, the input of the top-ell selection;
-    ``wtx = Wt X``."""
-    return np.maximum(H - (-(W.T @ (X - W @ H)) + lam * (H - wtx)) / l1, 0.0)
+    ``wtx = Wt X``.
+
+    ``max(H - (-(W^T (X - W H)) + lam (H - wtx)) / l1, 0)`` in that order,
+    computed in place on its temporaries (``-a + b`` is ``b - a`` bit for
+    bit)."""
+    R = W @ H
+    np.subtract(X, R, out=R)
+    D = H - wtx
+    D *= lam
+    np.subtract(D, W.T @ R, out=D)
+    D /= l1
+    np.subtract(H, D, out=D)
+    return np.maximum(D, 0.0, out=D)
 
 
 def step_H(X, H, W, lam, ell, wtx):
@@ -139,7 +152,13 @@ def step_W(X, H, W):
     Returns ``(W1, L2)`` with ``L2 = 2 max(||H||^2, _EPS_W)``."""
     sh = _spectral_norm_raw(H)
     l2 = 2.0 * max(sh * sh, _EPS_W)
-    return _simplex_rows_raw(W + ((X - W @ H) @ H.T) / l2), l2
+    # W + ((X - W H) H^T) / l2, in place on the temporaries
+    R = W @ H
+    np.subtract(X, R, out=R)
+    G = R @ H.T
+    G /= l2
+    G += W
+    return _simplex_rows_raw(G), l2
 
 
 def step_Wt(X, H, Wt, lam, smax_x, wtx):
@@ -150,7 +169,11 @@ def step_Wt(X, H, Wt, lam, smax_x, wtx):
     l3 = 2.0 * lam * smax_x * smax_x
     if l3 == 0.0:
         return Wt.copy(), l3
-    return _simplex_rows_raw(Wt + (lam / l3) * ((H - wtx) @ X.T)), l3
+    # Wt + (lam / l3) ((H - wtx) X^T), in place on the product
+    G = (H - wtx) @ X.T
+    G *= lam / l3
+    G += Wt
+    return _simplex_rows_raw(G), l3
 
 
 def default_init(X, cfg: SaaConfig) -> Factorization:

@@ -9,8 +9,10 @@ sweep-loop oracles write the solver's work out the long way (a full stable
 argsort; every residual recomputed, no residual carried between sweeps) as
 references for bit-identity tests, as do the row-simplex and cut-master
 branch-and-bound oracles (the textbook threshold formula; a free set and
-bound sums rebuilt at every node), and the swap-refit oracle (each weight
-fit's objective and gradient formed from the full residual).
+bound sums rebuilt at every node), the swap-refit oracle (each weight
+fit's objective and gradient formed from the full residual), and the
+``eval_F`` loop oracle (every residual a fresh clip, the accelerated
+iteration written inline).
 """
 
 import itertools
@@ -395,6 +397,63 @@ def sweep_loop_oracle(X, cfg, lam: float, start, momentum: bool = True):
         if done and change <= cfg.tol_stationary:
             break
     return H, W, Wt, objectives, steps, ties, rejects
+
+
+def eval_F_loop_oracle(Z, X, b: float, wt0=None, tol=1e-10, max_iter=20_000):
+    """``eval_F`` written out with no shared work.
+
+    Every residual is the fresh ``A - np.clip(A, 0, sqrt(b) Z)`` of
+    ``A = Wt X``, its value ``np.sum(r * r)`` and its gradient
+    ``2.0 * r @ X.T``; the accelerated projected gradient (Nesterov momentum,
+    a restart to the plain step on overshoot, a plain-step probe before
+    stopping, the absolute stop at 1e-22) is inlined from
+    ``_fista.minimize``.  It reuses only the library's spectral norm and
+    simplex projection, which ``eval_F`` calls unchanged.  Returns
+    ``(F, H, Wt, restarts)``, ``restarts`` counting the momentum overshoots.
+    """
+    from sparse_aa.core import _spectral_norm_raw
+    from sparse_aa.projections import _simplex_rows_raw as project
+
+    k, m = Z.shape[0], X.shape[0]
+    upper = math.sqrt(b) * np.clip(Z, 0.0, 1.0)
+
+    def residual(Wt):
+        A = Wt @ X
+        return A - np.clip(A, 0.0, upper)
+
+    def f(Wt):
+        r = residual(Wt)
+        return float(np.sum(r * r))
+
+    def grad(Wt):
+        return 2.0 * residual(Wt) @ X.T
+
+    smax = _spectral_norm_raw(X)
+    step = 0.5 / (smax * smax) if smax > 1e-150 else 0.0
+    x = project(np.full((k, m), 1.0 / m) if wt0 is None else wt0)
+    y, t, f_cur, restarts = x, 1.0, f(x), 0
+    for _ in range(max_iter if step > 0.0 else 0):
+        x_new = project(y - step * grad(y))
+        f_new = f(x_new)
+        if f_new > f_cur:
+            restarts += 1
+            y, t = x, 1.0
+            x_new = project(y - step * grad(y))
+            f_new = f(x_new)
+        if f_cur - f_new <= tol * max(f_cur, 1e-30):
+            probe = project(x_new - step * grad(x_new))
+            f_probe = f(probe)
+            if f_new - f_probe <= tol * max(f_new, 1e-30):
+                x, f_cur = x_new, f_new
+                break
+            x, y, t, f_cur = probe, probe, 1.0, f_probe
+        else:
+            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            y = x_new + ((t - 1.0) / t_next) * (x_new - x)
+            x, t, f_cur = x_new, t_next, f_new
+        if f_cur <= 1e-22:
+            break
+    return f_cur, np.clip(x @ X, 0.0, upper), x, restarts
 
 
 def swap_refit_oracle(X, fac, lam: float, leaving, entering):

@@ -1,6 +1,7 @@
 import copy
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,8 @@ from sparse_aa import (
 import sparse_aa.mip_init as mip_init
 from sparse_aa.cli import zero_init
 from sparse_aa.mip_init import CutSet
-from oracles import branch_and_bound_oracle, milp_enum_oracle
+from sparse_aa.solver import default_init
+from oracles import branch_and_bound_oracle, eval_F_loop_oracle, milp_enum_oracle
 
 
 def test_norm_bound_b_cases():
@@ -110,6 +112,38 @@ def test_eval_F_returns_the_clip_of_its_weights(case):
     if case == "zero X":  # F is constant at 0, and the uniform start comes back
         assert val == 0.0
         np.testing.assert_allclose(Wt, 0.2, rtol=1e-15)
+
+
+def eval_F_input(case):
+    """``(X, Z, k, ell, wt0)``: OA's first pattern on the README instance
+    (from the uniform start) and on the wide one (from ``default_init``'s
+    Wt), and random patterns on data with a zero column and with
+    duplicated rows."""
+    rng = np.random.default_rng(8)
+    if case == "zero column":
+        X = rng.uniform(size=(8, 5))
+        X[:, 2] = 0.0
+        return X, (rng.random((3, 5)) < 0.5).astype(float), 3, None, None
+    if case == "duplicated rows":
+        B = rng.uniform(size=(6, 4))
+        return np.vstack([B, B[:3]]), (rng.random((2, 4)) < 0.5).astype(float), 2, None, None
+    m, n, k, ell, seed = (20, 10, 3, 15, 7) if case == "readme" else (40, 300, 5, 750, 0)
+    X = synth_instance(m, n, k, 0.1, seed=seed)[0]
+    start = default_init(X, SaaConfig(k=k, ell=ell))
+    return X, (start.H > 0.0).astype(float), k, ell, start.Wt if case == "wide" else None
+
+
+@pytest.mark.parametrize("case", ["readme", "wide", "zero column", "duplicated rows"])
+def test_eval_F_matches_loop_oracle_bit_for_bit(case):
+    X, Z, k, ell, wt0 = eval_F_input(case)
+    b = norm_bound_b(X, k)
+    val, H, Wt = eval_F(Z, X, b, ell, wt0=wt0)
+    want_val, want_H, want_Wt, restarts = eval_F_loop_oracle(Z, X, b, wt0)
+    assert np.float64(val).tobytes() == np.float64(want_val).tobytes()
+    assert H.tobytes() == want_H.tobytes()
+    assert Wt.tobytes() == want_Wt.tobytes()
+    if case in ("readme", "wide"):
+        assert restarts > 0  # the momentum restart is exercised
 
 
 def test_subgradient_zero_at_exact_fit():
@@ -288,6 +322,20 @@ def test_branch_and_bound_matches_oracle_bits_at_wide_shape(n_cuts, node_cap):
     assert sol.Z.tobytes() == Z.tobytes()
     assert (sol.eta, sol.optimal, sol.nodes) == (eta, optimal, nodes)
     assert np.float64(sol.eta).tobytes() == np.float64(eta).tobytes()
+
+
+def test_branch_and_bound_memory_at_wide_shape():
+    # the bound sums cached per (depth, room) are copies; a cached cumsum
+    # view keeps its whole partitioned block alive, about 15 MiB here
+    offsets, G, shape, ell = wide_master(2, seed=2)
+    tracemalloc.start()
+    try:
+        sol = BranchAndBound(4000).minimize_cuts(offsets, G, shape, ell)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.nodes == 4000
+    assert peak <= 8 * 2**20
 
 
 @pytest.mark.parametrize(

@@ -376,24 +376,35 @@ def test_stationarity_residual_flags_boundary_ties(ell, tie):
 def tie_instance():
     """Duplicated columns: H-step targets repeat values, so top-ell ties occur."""
     B = np.random.default_rng(0).uniform(size=(10, 3))
-    return np.hstack([B, B]), SaaConfig(k=3, ell=15)
+    return np.hstack([B, B]), SaaConfig(k=3, ell=15, max_iter=300)
 
 
 def random_instance():
-    return np.random.default_rng(0).uniform(size=(15, 8)), SaaConfig(k=3, ell=13)
+    return np.random.default_rng(0).uniform(size=(15, 8)), SaaConfig(k=3, ell=13, max_iter=300)
 
 
-@pytest.mark.parametrize("make", [random_instance, tie_instance])
+def wide_instance():
+    """The benchmark's wide shape; the solve reaches an exact fixed point
+    after 979 sweeps, under the cap."""
+    return synth_instance(40, 300, 5, 0.1, seed=0)[0], SaaConfig(k=5, ell=750, max_iter=1_500)
+
+
+@pytest.mark.parametrize("make", [random_instance, tie_instance, wide_instance])
 def test_solve_matches_sweep_loop_oracle_bit_for_bit(make):
     X, base = make()
-    cfg = SaaConfig(k=base.k, ell=base.ell, max_iter=300, tol_objective=1e-300, tol_stationary=1e-300)
+    cfg = SaaConfig(
+        k=base.k, ell=base.ell, max_iter=base.max_iter, tol_objective=1e-300, tol_stationary=1e-300
+    )
     fac, trace = solve(X, None, cfg, lam=1.0)
     oracle = sweep_loop_oracle(X, cfg, 1.0, default_init(X, cfg))
     H, W, Wt, objectives, steps, ties, rejects = oracle
     assert trace.iterations == len(objectives) - 1
     # with tolerances of 1e-300 only an exact fixed point (no block moves)
     # stops before the cap; both sides start from default_init
-    assert trace.iterations == 300 or stationarity_residual(X, fac, cfg).residual == 0.0
+    assert (
+        trace.iterations == cfg.max_iter
+        or stationarity_residual(X, fac, cfg).residual == 0.0
+    )
     assert trace.objectives == objectives
     assert trace.step_sizes == steps
     assert fac.H.tobytes() == H.tobytes()
